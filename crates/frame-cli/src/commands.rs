@@ -389,14 +389,14 @@ pub fn cmd_stats(
 ) -> Result<(), String> {
     let json = fetch_stats_json(addr)?;
     let rendered = match format {
-        "json" => json,
-        "pretty" | "prometheus" => {
+        "json" | "pretty" | "prometheus" => {
             let snapshot = frame_telemetry::from_json(&json)
                 .map_err(|e| format!("malformed snapshot: {e}"))?;
-            if format == "pretty" {
-                frame_telemetry::render_pretty(&snapshot)
-            } else {
-                frame_telemetry::render_prometheus(&snapshot)
+            match format {
+                // The wire carries compact JSON; humans get it indented.
+                "json" => serde_json::to_string_pretty(&snapshot).map_err(|e| e.to_string())?,
+                "pretty" => frame_telemetry::render_pretty(&snapshot),
+                _ => frame_telemetry::render_prometheus(&snapshot),
             }
         }
         other => {
@@ -666,7 +666,7 @@ pub fn cmd_trace(
             .ok_or_else(|| format!("no snapshots in dump {}", path.display()))?,
     };
     let rendered = match (format, find) {
-        ("json", _) => frame_telemetry::flight_to_json(&snapshot),
+        ("json", _) => serde_json::to_string_pretty(&snapshot).map_err(|e| e.to_string())?,
         ("pretty", Some((topic, seq))) => {
             let record = snapshot
                 .find(frame_types::TopicId(topic), frame_types::SeqNo(seq))

@@ -45,8 +45,10 @@ pub use system::{RtPublisher, RtSystem, RtSystemBuilder};
 pub use tcp::{
     connect_backup_over_tcp, connect_backup_over_tcp_with_hook, read_frame, write_frame,
     write_frame_into, Decoded, FrameDecoder, TcpBackupBridge, TcpBrokerServer, TcpPublisher,
-    TcpSubscriber, WireMsg, MAX_FRAME_LEN,
+    TcpSubscriber,
 };
-// The wire codec itself lives with the passive vocabulary types; re-export
+// The wire format itself lives with the passive vocabulary types; re-export
 // the pieces transports and tools reach for alongside the runtime.
-pub use frame_types::wire::{EncodedFrame, FrameSink, FrameWriteQueue, WireCodec};
+pub use frame_types::wire::{
+    EncodedFrame, FrameSink, FrameWriteQueue, WireCodec, WireMsg, MAX_FRAME_LEN,
+};

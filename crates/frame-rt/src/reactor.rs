@@ -44,9 +44,9 @@ use parking_lot::Mutex;
 use polling::{Event, Events, Poller};
 
 use crate::broker_rt::{BrokerMsg, Delivered, DeliveryNotify, RtBroker};
-use frame_types::wire::{EncodedFrame, FrameSink, FrameWriteQueue};
+use frame_types::wire::{EncodedFrame, FrameSink, FrameWriteQueue, WireMsg};
 
-use crate::tcp::{Decoded, FrameDecoder, LogBackoff, TcpBrokerServer, WireMsg};
+use crate::tcp::{Decoded, FrameDecoder, LogBackoff, TcpBrokerServer};
 
 /// Which transport serves a broker's TCP ingress.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

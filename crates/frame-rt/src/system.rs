@@ -506,7 +506,7 @@ impl RtSystem {
         frame_telemetry::render_prometheus(&self.snapshot())
     }
 
-    /// Renders the current snapshot as pretty-printed JSON.
+    /// Renders the current snapshot as compact JSON.
     pub fn render_json(&self) -> String {
         frame_telemetry::to_json(&self.snapshot())
     }

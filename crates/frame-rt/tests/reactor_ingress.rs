@@ -31,7 +31,7 @@ fn msg(topic: u32, seq: u64, payload: &[u8]) -> Message {
     )
 }
 
-/// Encodes a raw frame with an arbitrary body (valid JSON or not).
+/// Encodes a raw frame with an arbitrary body (well-formed or not).
 fn raw_frame(body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + body.len());
     out.extend_from_slice(&(body.len() as u32).to_le_bytes());
@@ -81,22 +81,30 @@ impl Rng {
     }
 }
 
-/// A mixed stream: data frames, zero-ish control frames, a malformed
-/// body, and a large payload — everything the wire can legitimately carry.
+/// A mixed stream: data frames, zero-ish control frames, malformed
+/// bodies, and large payloads up to a 16 KiB camera frame — everything
+/// the wire can legitimately carry.
 fn mixed_stream() -> Vec<u8> {
+    let camera: Vec<u8> = (0..16 * 1024).map(|i| (i * 7 + i / 256) as u8).collect();
     let mut stream = Vec::new();
     for m in [
         WireMsg::Publish(msg(1, 0, b"0123456789abcdef")),
         WireMsg::Poll(42),
         WireMsg::Subscribe(SubscriberId(3)),
+        WireMsg::Publish(msg(4, 0, &camera)),
         WireMsg::Resend(msg(2, 9, &[0xAB; 600])),
         WireMsg::Promote,
     ] {
         write_frame(&mut stream, &m).unwrap();
     }
-    // A frame-aligned malformed body in the middle: both decoders must
-    // report it and keep going.
+    // Frame-aligned malformed bodies in the middle — a stale JSON peer's
+    // and a truncated camera frame's: both decoders must report them and
+    // keep going.
     stream.extend_from_slice(&raw_frame(b"{ not json !"));
+    let mut cut = Vec::new();
+    write_frame(&mut cut, &WireMsg::Deliver(msg(4, 1, &camera))).unwrap();
+    stream.extend_from_slice(&raw_frame(&cut[4..cut.len() - 1]));
+    write_frame(&mut stream, &WireMsg::Deliver(msg(4, 2, &camera))).unwrap();
     write_frame(&mut stream, &WireMsg::Publish(msg(3, 1, b"tail"))).unwrap();
     stream
 }
@@ -107,8 +115,8 @@ fn decoder_matches_blocking_reader_at_every_split() {
     let expected = blocking_outcomes(&stream);
     assert_eq!(
         expected.iter().filter(|o| *o == "malformed").count(),
-        1,
-        "the fixture contains exactly one malformed frame"
+        2,
+        "the fixture contains exactly two malformed frames"
     );
 
     // Byte at a time: the worst case for incremental state.
@@ -452,4 +460,60 @@ fn ingress_mode_parses_its_cli_spellings() {
     assert_eq!(IngressMode::default(), IngressMode::Reactor);
     assert_eq!(IngressMode::Reactor.name(), "reactor");
     assert_eq!(IngressMode::Threaded.name(), "threaded");
+}
+
+#[test]
+fn stats_reply_fits_one_frame_at_a_thousand_topics() {
+    // Every topic with traffic adds per-topic histograms and an SLO row to
+    // the snapshot; the reply must still fit one frame and parse.
+    const TOPICS: u32 = 1000;
+    let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
+    let (broker, threads) = RtBroker::spawn_with_telemetry(
+        BrokerId(0),
+        BrokerRole::Primary,
+        BrokerConfig::frame(),
+        2,
+        clock,
+        Telemetry::new(),
+    );
+    let net = NetworkParams::paper_example();
+    for t in 0..TOPICS {
+        let spec = TopicSpec::category(0, TopicId(t));
+        broker
+            .register_topic(admit(&spec, &net).unwrap(), vec![SubscriberId(1)])
+            .unwrap();
+    }
+    let server = ReactorServer::bind("127.0.0.1:0", broker.clone()).expect("bind reactor");
+    let addr = server.local_addr();
+    let subscriber = TcpSubscriber::connect(addr, SubscriberId(1)).expect("subscribe");
+    std::thread::sleep(StdDuration::from_millis(50));
+    let mut publisher = TcpPublisher::connect(addr).expect("connect");
+    for t in 0..TOPICS {
+        publisher.publish(msg(t, 0, b"payload")).unwrap();
+    }
+    for n in 0..TOPICS {
+        subscriber
+            .deliveries()
+            .recv_timeout(StdDuration::from_secs(10))
+            .unwrap_or_else(|e| panic!("delivery {n}/{TOPICS}: {e}"));
+    }
+
+    let mut control = TcpStream::connect(addr).unwrap();
+    control
+        .set_read_timeout(Some(StdDuration::from_secs(30)))
+        .unwrap();
+    write_frame(&mut control, &WireMsg::Stats).unwrap();
+    match read_frame_checked(&mut control).expect("stats answer") {
+        WireMsg::StatsJson(json) => {
+            eprintln!("stats reply at {TOPICS} topics: {} bytes", json.len());
+            assert!(json.len() < MAX_FRAME_LEN);
+            let snap = frame_telemetry::from_json(&json).expect("snapshot parses");
+            assert_eq!(snap.topics.len(), TOPICS as usize, "one row per topic");
+        }
+        other => panic!("expected StatsJson, got {other:?}"),
+    }
+
+    server.shutdown();
+    broker.shutdown();
+    threads.join();
 }

@@ -3,13 +3,13 @@
 //! byte-identical on every socket, be dispatched exactly once per
 //! subscriber, and leave its Table-3 backup effects in order.
 
-use std::io::{Read, Write};
+use std::io::Read;
 use std::net::TcpStream;
 use std::sync::Arc;
 
 use frame_clock::MonotonicClock;
 use frame_core::{admit, BrokerConfig, BrokerRole};
-use frame_rt::{BrokerMsg, RtBroker, TcpBrokerServer, TcpPublisher, WireMsg};
+use frame_rt::{write_frame, BrokerMsg, RtBroker, TcpBrokerServer, TcpPublisher, WireMsg};
 use frame_types::wire::encoded_frame_count;
 use frame_types::{
     BrokerId, Message, NetworkParams, PublisherId, SeqNo, SubscriberId, TopicId, TopicSpec,
@@ -27,14 +27,6 @@ fn read_raw_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
     frame.resize(4 + len, 0);
     stream.read_exact(&mut frame[4..])?;
     Ok(frame)
-}
-
-/// Writes one raw frame (test-side framing, independent of the codec
-/// under test).
-fn write_raw_frame(stream: &mut TcpStream, msg: &WireMsg) -> std::io::Result<()> {
-    let body = serde_json::to_vec(msg).unwrap();
-    stream.write_all(&(body.len() as u32).to_le_bytes())?;
-    stream.write_all(&body)
 }
 
 #[test]
@@ -72,7 +64,7 @@ fn fanout_of_64_shares_one_encode_and_delivers_identical_bytes() {
         let mut s = TcpStream::connect(addr).unwrap();
         s.set_read_timeout(Some(std::time::Duration::from_secs(5)))
             .unwrap();
-        write_raw_frame(&mut s, &WireMsg::Subscribe(*id)).unwrap();
+        write_frame(&mut s, &WireMsg::Subscribe(*id)).unwrap();
         socks.push(s);
     }
     // Let the Subscribe frames register before publishing.
@@ -94,7 +86,7 @@ fn fanout_of_64_shares_one_encode_and_delivers_identical_bytes() {
     let mut first: Option<Vec<u8>> = None;
     for (i, s) in socks.iter_mut().enumerate() {
         let frame = read_raw_frame(s).unwrap_or_else(|e| panic!("subscriber {i}: {e}"));
-        match serde_json::from_slice::<WireMsg>(&frame[4..]) {
+        match WireMsg::decode(&frame[4..]) {
             Ok(WireMsg::Deliver(m)) => {
                 assert_eq!(m.seq, SeqNo(0));
                 assert_eq!(m.payload.as_ref(), b"fanout-payload-0123456789abcdef");

@@ -8,9 +8,11 @@ use crate::span::{BudgetStage, SpanRecord};
 use crate::telemetry::TelemetrySnapshot;
 use frame_types::SpanPoint;
 
-/// Serializes a snapshot to pretty-printed JSON.
+/// Serializes a snapshot to compact JSON — the text a `Stats` reply
+/// carries, so it stays small enough for one frame at thousands of
+/// topics. Clients re-indent it for humans if they want.
 pub fn to_json(snapshot: &TelemetrySnapshot) -> String {
-    serde_json::to_string_pretty(snapshot).expect("snapshot serializes")
+    serde_json::to_string(snapshot).expect("snapshot serializes")
 }
 
 /// Parses a snapshot back from JSON (the inverse of [`to_json`]).
@@ -22,9 +24,10 @@ pub fn from_json(json: &str) -> Result<TelemetrySnapshot, serde_json::Error> {
     serde_json::from_str(json)
 }
 
-/// Serializes a flight-recorder snapshot to pretty-printed JSON.
+/// Serializes a flight-recorder snapshot to compact JSON — the text a
+/// `Trace` reply carries.
 pub fn flight_to_json(snapshot: &FlightSnapshot) -> String {
-    serde_json::to_string_pretty(snapshot).expect("flight snapshot serializes")
+    serde_json::to_string(snapshot).expect("flight snapshot serializes")
 }
 
 /// Parses a flight-recorder snapshot back from JSON (the inverse of

@@ -30,5 +30,6 @@ pub use spec::{Destination, LossTolerance, SubscriberRequirement, TopicSpec};
 pub use time::{Duration, Time};
 pub use trace::{SpanPoint, TraceCtx};
 pub use wire::{
-    BufferPool, EncodedFrame, FrameSink, FrameWriteQueue, PoolStats, WireCodec, MAX_FRAME_LEN,
+    BackupEffect, BufferPool, DecodeError, EncodedFrame, FrameSink, FrameWriteQueue, PoolStats,
+    WireCodec, WireMsg, MAX_FRAME_LEN,
 };

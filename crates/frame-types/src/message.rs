@@ -21,7 +21,7 @@ use crate::trace::TraceCtx;
 /// [`TraceCtx`]: the trace is observability metadata that mutates as the
 /// message moves through the pipeline, and a re-sent copy with different
 /// stamps is still the *same* message.
-#[derive(Clone, Eq, Serialize, Deserialize)]
+#[derive(Clone, Eq)]
 pub struct Message {
     /// Topic this message belongs to.
     pub topic: TopicId,
@@ -32,12 +32,10 @@ pub struct Message {
     /// Creation time `t_c` at the publisher (publisher's clock).
     pub created_at: Time,
     /// Application payload (16 bytes in the paper's evaluation).
-    #[serde(with = "bytes_serde")]
     pub payload: Bytes,
     /// Per-message span stamps, attached by the broker when tracing is
-    /// enabled. `None` (the default) serializes as null, so pre-trace
-    /// peers and snapshots keep parsing.
-    #[serde(default)]
+    /// enabled. `None` (the default) costs one flag byte on the wire
+    /// ([`crate::wire`]).
     pub trace: Option<TraceCtx>,
 }
 
@@ -105,20 +103,6 @@ pub struct MessageKey {
     pub topic: TopicId,
     /// The per-topic sequence number.
     pub seq: SeqNo,
-}
-
-mod bytes_serde {
-    use bytes::Bytes;
-    use serde::{Deserialize, Deserializer, Serializer};
-
-    pub fn serialize<S: Serializer>(b: &Bytes, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_bytes(b)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Bytes, D::Error> {
-        let v = Vec::<u8>::deserialize(d)?;
-        Ok(Bytes::from(v))
-    }
 }
 
 #[cfg(test)]
