@@ -244,13 +244,24 @@ impl JobQueue for FcfsQueue {
 /// The scheduling plane of a broker: the job queue plus job-id allocation
 /// and the queue high-watermark.
 ///
-/// Grouping exactly these three pieces of state lets a threaded embedding
-/// place the scheduler behind one short lock — held only to push, pop or
-/// cancel a job — while all per-topic state lives in
+/// Grouping exactly this state lets a threaded embedding place the
+/// scheduler behind one short lock — held only to push, pop or cancel a
+/// job — while all per-topic state lives in
 /// [`TopicShard`](crate::shard::TopicShard)s behind their own locks, so N
 /// workers drain the queue concurrently and only serialize per topic.
+///
+/// Such embeddings take work with [`Scheduler::claim`] and hand it back
+/// with [`Scheduler::release`], which keep at most one job per topic in
+/// flight: a job popped while its topic is held is parked (still counted
+/// by [`Scheduler::len`]) and handed to the holder in pop order. Without
+/// this, two workers holding `seq 1` and `seq 2` of one topic race for the
+/// shard lock and may deliver them out of order.
 pub struct Scheduler {
     queue: Box<dyn JobQueue>,
+    /// Topics with a claimed job in flight, each with its parked jobs in
+    /// pop order. At most one entry per worker, so scans are short.
+    held: HashMap<TopicId, VecDeque<Job>>,
+    parked: usize,
     next_job_id: u64,
     high_watermark: u64,
 }
@@ -260,6 +271,8 @@ impl Scheduler {
     pub fn new(policy: SchedulingPolicy) -> Self {
         Scheduler {
             queue: policy.make_queue(),
+            held: HashMap::new(),
+            parked: 0,
             next_job_id: 0,
             high_watermark: 0,
         }
@@ -275,7 +288,7 @@ impl Scheduler {
     /// Enqueues a job, updating the high-watermark.
     pub fn push(&mut self, job: Job) {
         self.queue.push(job);
-        self.high_watermark = self.high_watermark.max(self.queue.len() as u64);
+        self.high_watermark = self.high_watermark.max(self.len() as u64);
     }
 
     /// Dequeues the next non-cancelled job.
@@ -283,19 +296,60 @@ impl Scheduler {
         self.queue.pop()
     }
 
-    /// Cancels a queued job (lazy; unknown ids are ignored).
-    pub fn cancel(&mut self, id: JobId) {
-        self.queue.cancel(id);
+    /// Dequeues the next job whose topic is not held and holds its topic
+    /// until [`Scheduler::release`]. Jobs of held topics met on the way
+    /// are parked behind their holder.
+    pub fn claim(&mut self) -> Option<Job> {
+        while let Some(job) = self.queue.pop() {
+            match self.held.entry(job.topic) {
+                Entry::Occupied(mut parked) => {
+                    parked.get_mut().push_back(job);
+                    self.parked += 1;
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(VecDeque::new());
+                    return Some(job);
+                }
+            }
+        }
+        None
     }
 
-    /// Live (non-cancelled) jobs in the queue.
+    /// Finishes the claimed job of `topic`: returns the topic's next
+    /// parked job, which the caller now runs with the topic still held,
+    /// or releases the topic when none is parked.
+    pub fn release(&mut self, topic: TopicId) -> Option<Job> {
+        let parked = self.held.get_mut(&topic)?;
+        let next = parked.pop_front();
+        match next {
+            Some(_) => self.parked -= 1,
+            None => {
+                self.held.remove(&topic);
+            }
+        }
+        next
+    }
+
+    /// Cancels a queued or parked job (lazy; unknown ids are ignored).
+    pub fn cancel(&mut self, id: JobId) {
+        self.queue.cancel(id);
+        for parked in self.held.values_mut() {
+            if let Some(i) = parked.iter().position(|j| j.id == id) {
+                parked.remove(i);
+                self.parked -= 1;
+                return;
+            }
+        }
+    }
+
+    /// Live (non-cancelled) jobs waiting, queued or parked.
     pub fn len(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + self.parked
     }
 
     /// Whether no live jobs remain.
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.len() == 0
     }
 
     /// Deadline of the next live job without removing it.
@@ -312,7 +366,7 @@ impl Scheduler {
 impl std::fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
-            .field("len", &self.queue.len())
+            .field("len", &self.len())
             .field("next_job_id", &self.next_job_id)
             .field("high_watermark", &self.high_watermark)
             .finish()
@@ -476,6 +530,55 @@ mod tests {
         q.push(job(1, 200));
         q.push(job(2, 100));
         assert_eq!(q.pop().unwrap().id, JobId(1));
+    }
+
+    fn job_of(id: u64, topic: u32, deadline_ms: u64) -> Job {
+        let mut j = job(id, deadline_ms);
+        j.topic = TopicId(topic);
+        j.key.topic = TopicId(topic);
+        j
+    }
+
+    #[test]
+    fn claim_parks_jobs_of_a_held_topic_behind_their_holder() {
+        let mut s = Scheduler::new(SchedulingPolicy::Edf);
+        s.push(job_of(1, 1, 100));
+        s.push(job_of(2, 1, 200));
+        s.push(job_of(3, 2, 300));
+        assert_eq!(s.claim().unwrap().id, JobId(1));
+        // Topic 1 is held: job 2 is parked, not handed to a second worker.
+        assert_eq!(s.claim().unwrap().id, JobId(3));
+        assert!(s.claim().is_none());
+        // The parked job still counts as waiting.
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.release(TopicId(1)).unwrap().id, JobId(2));
+        assert_eq!(s.len(), 0);
+        assert!(s.release(TopicId(1)).is_none());
+        assert!(s.release(TopicId(2)).is_none());
+        // Both topics are free again.
+        s.push(job_of(4, 1, 400));
+        assert_eq!(s.claim().unwrap().id, JobId(4));
+    }
+
+    #[test]
+    fn cancel_reaches_parked_jobs_and_len_counts_them() {
+        let mut s = Scheduler::new(SchedulingPolicy::Fcfs);
+        for id in 1..=3 {
+            s.push(job_of(id, 1, 100 * id));
+        }
+        assert_eq!(s.claim().unwrap().id, JobId(1));
+        assert!(s.claim().is_none());
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.high_watermark(), 3);
+        s.cancel(JobId(2));
+        assert_eq!(s.len(), 1);
+        // A parked job is counted when the high-watermark moves.
+        s.push(job_of(4, 2, 50));
+        s.push(job_of(5, 2, 60));
+        assert_eq!(s.high_watermark(), 3);
+        assert_eq!(s.release(TopicId(1)).unwrap().id, JobId(3));
+        assert!(s.release(TopicId(1)).is_none());
+        assert_eq!(s.claim().unwrap().id, JobId(4));
     }
 
     #[test]
