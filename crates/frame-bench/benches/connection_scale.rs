@@ -1,14 +1,10 @@
-//! Publisher fan-in scaling of the TCP ingress: reactor vs
-//! thread-per-connection.
+//! Publisher fan-in scaling of the reactor TCP ingress.
 //!
 //! Sweeps a ladder of simulated publishers (1k → 100k) against a live
 //! broker served by [`frame_rt::ReactorServer`], measuring ingest
 //! throughput, p50/p99 admit→deliver latency, and resident memory per
 //! connection, and writes `BENCH_connection_scale.json` at the repo root
-//! (the perf-trajectory convention described in ROADMAP.md). The
-//! thread-per-connection transport is measured at the smallest rung as
-//! the A/B baseline — it is the architecture this sweep exists to retire,
-//! and holding 100k OS threads is exactly the experiment one cannot run.
+//! (the perf-trajectory convention described in ROADMAP.md).
 //!
 //! Both endpoints live in this process (loopback), so every connection
 //! costs two file descriptors and the ladder is capped by
@@ -32,7 +28,7 @@ use crossbeam::channel::unbounded;
 use frame_bench::HostMeta;
 use frame_clock::{Clock, MonotonicClock};
 use frame_core::{admit, BrokerConfig, BrokerRole};
-use frame_rt::{serve_ingress, write_frame_into, IngressMode, RtBroker, WireMsg};
+use frame_rt::{write_frame_into, ReactorServer, RtBroker, WireMsg};
 use frame_telemetry::Telemetry;
 use frame_types::{
     BrokerId, Message, NetworkParams, PublisherId, SeqNo, SubscriberId, TopicId, TopicSpec,
@@ -52,7 +48,6 @@ const LADDER: [usize; 5] = [1_000, 4_000, 16_000, 32_000, 100_000];
 
 #[derive(Serialize)]
 struct RungResult {
-    ingress: &'static str,
     publishers: usize,
     connections: usize,
     /// Connections were capped by `RLIMIT_NOFILE`; publishers were
@@ -83,10 +78,6 @@ struct BenchReport {
     fd_conn_budget: usize,
     note: &'static str,
     results: Vec<RungResult>,
-    /// Reactor msgs/sec over threaded msgs/sec at the smallest rung
-    /// (≥ 1.0 means the reactor at least matches thread-per-connection
-    /// where the old transport can still play).
-    reactor_over_threaded_at_1k: f64,
 }
 
 /// Resident set size in bytes, from `/proc/self/status` (0 off-Linux).
@@ -116,9 +107,9 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx]
 }
 
-/// One rung: a fresh broker + ingress server, `connections` live sockets
+/// One rung: a fresh broker + reactor server, `connections` live sockets
 /// carrying `publishers` round-robin, full-delivery assertion, teardown.
-fn run_rung(mode: IngressMode, publishers: usize, conn_budget: usize) -> RungResult {
+fn run_rung(publishers: usize, conn_budget: usize) -> RungResult {
     let connections = publishers.min(conn_budget);
     let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
     let telemetry = Telemetry::new();
@@ -141,7 +132,7 @@ fn run_rung(mode: IngressMode, publishers: usize, conn_budget: usize) -> RungRes
     }
     let (tx, rx) = unbounded();
     broker.connect_subscriber(SubscriberId(0), tx);
-    let server = serve_ingress("127.0.0.1:0", broker.clone(), mode).expect("bind ingress");
+    let server = ReactorServer::bind("127.0.0.1:0", broker.clone()).expect("bind reactor");
     let addr = server.local_addr();
 
     let rss_before = rss_bytes();
@@ -149,8 +140,8 @@ fn run_rung(mode: IngressMode, publishers: usize, conn_budget: usize) -> RungRes
     for _ in 0..connections {
         streams.push(TcpStream::connect(addr).expect("connect"));
     }
-    // Let the server finish adopting the backlog before sampling memory
-    // (the reactor registers asynchronously; threaded spawns handlers).
+    // Let the reactor finish adopting the backlog (it registers
+    // asynchronously) before sampling memory.
     std::thread::sleep(std::time::Duration::from_millis(
         100 + (connections / 100) as u64,
     ));
@@ -225,9 +216,7 @@ fn run_rung(mode: IngressMode, publishers: usize, conn_budget: usize) -> RungRes
     assert_eq!(
         lat_us.len() as u64,
         expected,
-        "every published message must be delivered ({} ingress, {} publishers)",
-        mode.name(),
-        publishers
+        "every published message must be delivered ({publishers} publishers)"
     );
     lat_us.sort_unstable();
 
@@ -243,7 +232,6 @@ fn run_rung(mode: IngressMode, publishers: usize, conn_budget: usize) -> RungRes
     broker.shutdown();
     threads.join();
     RungResult {
-        ingress: mode.name(),
         publishers,
         connections,
         fd_capped: connections < publishers,
@@ -272,27 +260,10 @@ fn main() {
     };
 
     let mut results = Vec::new();
-    // The A/B baseline first: thread-per-connection at the smallest rung,
-    // the largest scale where one-thread-per-publisher is still sane.
-    let threaded = run_rung(IngressMode::Threaded, LADDER[0], fd_conn_budget);
-    eprintln!(
-        "{:<8} pubs={:<7} conns={:<6} {:>9.0} msgs/s  p99={:>7}us  rss/conn={}B",
-        threaded.ingress,
-        threaded.publishers,
-        threaded.connections,
-        threaded.msgs_per_sec,
-        threaded.p99_admit_to_deliver_us,
-        threaded.per_conn_rss_bytes
-    );
-    let threaded_msgs_per_sec = threaded.msgs_per_sec;
-    results.push(threaded);
-
-    let mut reactor_at_1k = 0.0;
     for publishers in ladder {
-        let r = run_rung(IngressMode::Reactor, publishers, fd_conn_budget);
+        let r = run_rung(publishers, fd_conn_budget);
         eprintln!(
-            "{:<8} pubs={:<7} conns={:<6} {:>9.0} msgs/s  p99={:>7}us  rss/conn={}B{}",
-            r.ingress,
+            "pubs={:<7} conns={:<6} {:>9.0} msgs/s  p99={:>7}us  rss/conn={}B{}",
             r.publishers,
             r.connections,
             r.msgs_per_sec,
@@ -300,16 +271,8 @@ fn main() {
             r.per_conn_rss_bytes,
             if r.fd_capped { "  (fd-capped)" } else { "" }
         );
-        if publishers == LADDER[0] {
-            reactor_at_1k = r.msgs_per_sec;
-        }
         results.push(r);
     }
-    let reactor_over_threaded_at_1k = reactor_at_1k / threaded_msgs_per_sec;
-    eprintln!(
-        "reactor/threaded at {} publishers: {reactor_over_threaded_at_1k:.2}x",
-        LADDER[0]
-    );
 
     let report = BenchReport {
         bench: "connection_scale",
@@ -324,15 +287,13 @@ fn main() {
                multiplex publishers over the capped connection count \
                (fd_capped). Deliveries drain through an in-process \
                subscriber channel, isolating the ingress path under test. \
-               per_conn_rss_bytes counts both endpoints, which flatters \
-               nobody and penalizes both transports equally. Each rung \
+               per_conn_rss_bytes counts both endpoints. Each rung \
                floods its whole offered load at once, so admit→deliver \
                percentiles include queueing behind the rung's entire \
                backlog and grow with publisher count by construction; \
                the scaling signal is msgs_per_sec staying flat as \
                connections multiply.",
         results,
-        reactor_over_threaded_at_1k,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     let path = concat!(

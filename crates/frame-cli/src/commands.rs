@@ -10,10 +10,7 @@ use frame_core::{
     admit, dispatch_deadline, min_admissible_retention, replication_deadline, replication_needed,
     BrokerConfig, BrokerRole, Deadline, Publisher,
 };
-use frame_rt::{
-    connect_backup_over_tcp, serve_ingress, IngressMode, IngressServer, RtBroker, TcpPublisher,
-    TcpSubscriber,
-};
+use frame_rt::{connect_backup_over_tcp, ReactorServer, RtBroker, TcpPublisher, TcpSubscriber};
 use frame_types::{BrokerId, PublisherId, SubscriberId};
 
 use crate::manifest::Manifest;
@@ -82,8 +79,8 @@ pub fn cmd_admit(manifest: &Manifest, out: &mut impl std::io::Write) -> std::io:
 pub struct RunningBroker {
     /// The broker.
     pub broker: RtBroker,
-    /// Its TCP front end (`--ingress threaded|reactor`).
-    pub server: IngressServer,
+    /// Its TCP front end.
+    pub server: ReactorServer,
     /// The `/metrics` + `/healthz` listener, when `--obs` was given.
     pub obs: Option<(frame_obs::ObsSampler, frame_obs::ObsServer)>,
     threads: frame_rt::RtBrokerThreads,
@@ -107,7 +104,6 @@ impl RunningBroker {
 /// # Errors
 ///
 /// Admission failures, duplicate topics, or bind errors as strings.
-#[allow(clippy::too_many_arguments)] // mirrors the CLI flag surface 1:1
 pub fn cmd_broker(
     manifest: &Manifest,
     listen: &str,
@@ -116,7 +112,6 @@ pub fn cmd_broker(
     workers: usize,
     backup_addr: Option<SocketAddr>,
     obs_addr: Option<&str>,
-    ingress: IngressMode,
 ) -> Result<RunningBroker, String> {
     let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
     let (broker, threads) = RtBroker::spawn(
@@ -155,7 +150,7 @@ pub fn cmd_broker(
             Some((sampler, obs_server))
         }
     };
-    let server = serve_ingress(listen, broker.clone(), ingress).map_err(|e| e.to_string())?;
+    let server = ReactorServer::bind(listen, broker.clone()).map_err(|e| e.to_string())?;
     Ok(RunningBroker {
         broker,
         server,
@@ -788,8 +783,6 @@ mod tests {
     #[test]
     fn detector_promotes_backup_over_tcp() {
         let manifest = Manifest::table2();
-        // One broker per ingress flavor: the detector protocol must be
-        // transport-agnostic.
         let primary = cmd_broker(
             &manifest,
             "127.0.0.1:0",
@@ -798,7 +791,6 @@ mod tests {
             2,
             None,
             None,
-            IngressMode::Reactor,
         )
         .unwrap();
         let backup = cmd_broker(
@@ -809,7 +801,6 @@ mod tests {
             2,
             None,
             None,
-            IngressMode::Threaded,
         )
         .unwrap();
         let p_addr = primary.server.local_addr();
@@ -844,7 +835,6 @@ mod tests {
             2,
             None,
             None,
-            IngressMode::Reactor,
         )
         .unwrap();
         let addr = broker.server.local_addr();
@@ -924,7 +914,6 @@ mod tests {
             2,
             None,
             Some("127.0.0.1:0"),
-            IngressMode::Threaded,
         )
         .unwrap();
         let addr = broker.server.local_addr();

@@ -43,15 +43,62 @@ fn main() {
     }
 }
 
+/// The flags each subcommand reads (`None` for an unknown subcommand).
+/// Any other `--`-prefixed argument is an error rather than silently
+/// ignored, so a misspelled or retired flag cannot quietly fall back to a
+/// default.
+fn known_flags(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "admit" => &["--manifest"],
+        "broker" => &[
+            "--manifest",
+            "--listen",
+            "--role",
+            "--config",
+            "--workers",
+            "--backup-addr",
+            "--obs",
+        ],
+        "publish" => &["--manifest", "--addr", "--publisher-id", "--rounds"],
+        "subscribe" => &["--addr", "--subscriber-id", "--count"],
+        "stats" => &["--addr", "--format", "--watch"],
+        "top" => &["--addr", "--interval", "--once"],
+        "trace" => &[
+            "--addr", "--dump", "--format", "--detail", "--topic", "--seq",
+        ],
+        "detector" => &["--primary", "--backup", "--interval-ms", "--timeout-ms"],
+        "chaos" => &["--seed", "--out"],
+        "example-manifest" | "--help" | "-h" | "help" => &[],
+        _ => return None,
+    })
+}
+
 struct Flags(Vec<String>);
 
 impl Flags {
+    /// Wraps `cmd`'s arguments, rejecting any `--` flag it does not read.
+    fn parse(cmd: &str, args: &[String]) -> Result<Flags, String> {
+        if let Some(known) = known_flags(cmd) {
+            if let Some(bad) = args
+                .iter()
+                .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+            {
+                return Err(format!("unknown flag `{bad}` for `{cmd}`\n{}", usage()));
+            }
+        }
+        Ok(Flags(args.to_vec()))
+    }
+
     fn get(&self, name: &str) -> Option<&str> {
         self.0
             .iter()
             .position(|a| a == name)
             .and_then(|i| self.0.get(i + 1))
             .map(String::as_str)
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.0.iter().any(|a| a == name)
     }
 
     fn require(&self, name: &str) -> Result<&str, String> {
@@ -63,7 +110,7 @@ fn run(args: &[String]) -> Result<i32, String> {
     let Some(cmd) = args.first() else {
         return Err(usage());
     };
-    let flags = Flags(args[1..].to_vec());
+    let flags = Flags::parse(cmd, &args[1..])?;
     match cmd.as_str() {
         "admit" => {
             let m = Manifest::load(flags.require("--manifest")?)?;
@@ -88,9 +135,6 @@ fn run(args: &[String]) -> Result<i32, String> {
                 Some(a) => Some(a.parse().map_err(|_| "bad --backup-addr".to_owned())?),
                 None => None,
             };
-            let ingress_flag = flags.get("--ingress").unwrap_or("reactor");
-            let ingress = frame_rt::IngressMode::parse(ingress_flag)
-                .ok_or_else(|| format!("unknown ingress `{ingress_flag}` (threaded|reactor)"))?;
             let running = cmd_broker(
                 &m,
                 listen,
@@ -99,13 +143,11 @@ fn run(args: &[String]) -> Result<i32, String> {
                 workers,
                 backup_addr,
                 flags.get("--obs"),
-                ingress,
             )?;
             eprintln!(
-                "broker listening on {} ({:?}, {} ingress, {} topics); Ctrl-C to stop",
+                "broker listening on {} ({:?}, {} topics); Ctrl-C to stop",
                 running.server.local_addr(),
                 running.broker.role(),
-                ingress.name(),
                 m.topics.len()
             );
             if let Some((_, obs)) = &running.obs {
@@ -194,7 +236,7 @@ fn run(args: &[String]) -> Result<i32, String> {
                 .require("--addr")?
                 .parse()
                 .map_err(|_| "bad --addr".to_owned())?;
-            let once = flags.0.iter().any(|a| a == "--once");
+            let once = flags.has("--once");
             let interval = match flags.get("--interval") {
                 // --once differentiates two snapshots a short window apart.
                 None if once => std::time::Duration::from_millis(200),
@@ -295,7 +337,6 @@ fn run(args: &[String]) -> Result<i32, String> {
                 .get(2)
                 .filter(|a| !a.starts_with("--"))
                 .ok_or("missing plan path: frame-cli chaos run PLAN.toml")?;
-            let flags = Flags(args[3..].to_vec());
             let seed: u64 = flags
                 .get("--seed")
                 .unwrap_or("0")
@@ -342,7 +383,7 @@ fn usage() -> String {
     "usage:\n  frame-cli admit     --manifest topics.json\n  \
      frame-cli broker    --manifest topics.json --listen ADDR [--role primary|backup]\n            \
      \u{20}         [--config frame|fcfs|fcfs-] [--workers N] [--backup-addr ADDR]\n            \
-     \u{20}         [--obs ADDR] [--ingress threaded|reactor]\n  \
+     \u{20}         [--obs ADDR]\n  \
      frame-cli publish   --manifest topics.json --addr ADDR [--publisher-id N] [--rounds N]\n  \
      frame-cli subscribe --addr ADDR --subscriber-id N [--count N]\n  \
      frame-cli stats     --addr ADDR [--format pretty|json|prometheus] [--watch SECS]\n  \
@@ -377,5 +418,82 @@ mod tests {
         assert_eq!(err, "bad --watch");
         // And a sane value passes the parser.
         assert_eq!(parse_interval_secs("--watch", "3"), Ok(3));
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        // Rejected before the manifest is read, so the path need not exist.
+        let err =
+            run_strs(&["broker", "--manifest", "t.json", "--ingress", "threaded"]).unwrap_err();
+        assert!(
+            err.starts_with("unknown flag `--ingress` for `broker`"),
+            "got: {err}"
+        );
+        let err = run_strs(&["stats", "--addr", "127.0.0.1:9", "--wacth", "3"]).unwrap_err();
+        assert!(err.starts_with("unknown flag `--wacth`"), "got: {err}");
+        // Positional arguments and boolean flags are not flags to reject.
+        let err = run_strs(&["chaos", "run", "missing.toml", "--seed", "1"]).unwrap_err();
+        assert!(!err.contains("unknown flag"), "got: {err}");
+        let err = run_strs(&["top", "--once", "--addr", "bogus"]).unwrap_err();
+        assert_eq!(err, "bad --addr");
+    }
+
+    /// Every `frame-cli` flag in `text`, paired with its subcommand: the
+    /// first non-dash token after `frame-cli` names the subcommand, and
+    /// flags run until a shell comment, pipe or redirect ends the command.
+    /// Backslash-continued lines are joined first.
+    fn spelled_flags(text: &str) -> Vec<(String, String)> {
+        let joined = text.replace("\\\n", " ");
+        let mut found = Vec::new();
+        for line in joined.lines() {
+            let mut tokens = line.split_whitespace().skip_while(|t| *t != "frame-cli");
+            let Some(sub) = tokens.find(|t| known_flags(t).is_some() && !t.starts_with('-')) else {
+                continue;
+            };
+            for t in tokens.take_while(|t| !matches!(*t, "#" | "|" | ">" | "&" | "&&" | ";")) {
+                if t.starts_with("--") {
+                    found.push((sub.to_owned(), t.to_owned()));
+                }
+            }
+        }
+        found
+    }
+
+    #[test]
+    fn flags_spelled_in_readme_ci_and_benchmark_are_accepted() {
+        let mut spelled = spelled_flags(include_str!("../../../README.md"));
+        spelled.extend(spelled_flags(include_str!(
+            "../../../.github/workflows/ci.yml"
+        )));
+        // The benchmark's broker launcher passes its flags as string
+        // literals to `Command::args`.
+        let proc_rs = include_str!("../../../e2ebench/src/proc.rs");
+        let launcher: Vec<&str> = proc_rs
+            .split('"')
+            .skip(1)
+            .step_by(2)
+            .filter(|lit| lit.starts_with("--"))
+            .collect();
+        for flag in ["--manifest", "--listen", "--backup-addr", "--role"] {
+            assert!(launcher.contains(&flag), "launcher passes {flag}");
+        }
+        spelled.extend(
+            launcher
+                .iter()
+                .map(|f| ("broker".to_owned(), (*f).to_owned())),
+        );
+        for sub in ["broker", "stats", "top", "trace", "chaos"] {
+            assert!(
+                spelled.iter().any(|(s, _)| s == sub),
+                "no `{sub}` invocation found"
+            );
+        }
+        for (sub, flag) in &spelled {
+            let args = [flag.clone()];
+            assert!(
+                Flags::parse(sub, &args).is_ok(),
+                "`frame-cli {sub} {flag}` is documented but rejected"
+            );
+        }
     }
 }

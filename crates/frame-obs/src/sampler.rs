@@ -136,7 +136,7 @@ pub struct RoleRate {
 
 impl RoleRate {
     /// Fraction of one core this role consumed over `dt_ns` (can exceed
-    /// 1.0 for roles aggregating several threads, e.g. `conn`).
+    /// 1.0 for roles aggregating several threads, e.g. `obs`).
     pub fn cpu_utilization(&self, dt_ns: u64) -> f64 {
         self.cpu_delta_ns as f64 / dt_ns.max(1) as f64
     }

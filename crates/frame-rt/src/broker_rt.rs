@@ -315,15 +315,6 @@ impl RtBroker {
             .insert(id, SubscriberEntry { tx, notify: None });
     }
 
-    /// Connects a subscriber that will be served over a wire transport:
-    /// like [`RtBroker::connect_subscriber`], but additionally turns on
-    /// encode-once delivery, so every [`Delivered`] carries the shared
-    /// outbound frame ([`Delivered::wire`]) the transport writes verbatim.
-    pub fn connect_subscriber_wire(&self, id: SubscriberId, tx: Sender<Delivered>) {
-        self.inner.wire_subscribers.store(true, Ordering::Release);
-        self.connect_subscriber(id, tx);
-    }
-
     /// Connects a subscriber's delivery channel with a wake-up callback,
     /// invoked after deliveries are pushed so an event-driven transport
     /// (the ingress reactor — a wire transport, so this also enables

@@ -40,12 +40,11 @@ pub use broker_rt::{
     BackupEffect, BrokerMsg, Delivered, DeliveryNotify, RtBroker, RtBrokerThreads,
 };
 pub use fault::{BackupEffectKind, FaultHook, FrameFate, Hop, SharedFaultHook};
-pub use reactor::{serve_ingress, IngressMode, IngressServer, ReactorConfig, ReactorServer};
+pub use reactor::{ReactorConfig, ReactorServer};
 pub use system::{RtPublisher, RtSystem, RtSystemBuilder};
 pub use tcp::{
     connect_backup_over_tcp, connect_backup_over_tcp_with_hook, read_frame, write_frame,
-    write_frame_into, Decoded, FrameDecoder, TcpBackupBridge, TcpBrokerServer, TcpPublisher,
-    TcpSubscriber,
+    write_frame_into, Decoded, FrameDecoder, TcpBackupBridge, TcpPublisher, TcpSubscriber,
 };
 // The wire format itself lives with the passive vocabulary types; re-export
 // the pieces transports and tools reach for alongside the runtime.

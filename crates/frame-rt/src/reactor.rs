@@ -1,10 +1,9 @@
-//! Readiness-driven ingress reactor: the high fan-in TCP front end.
+//! Readiness-driven ingress reactor: the broker's TCP front end.
 //!
-//! [`crate::tcp::TcpBrokerServer`] spends one OS thread (and one stack)
-//! per peer — faithful to the paper's seven-host testbed, a hard wall for
-//! edge fan-in at publisher counts in the tens of thousands. This module
-//! serves the same wire protocol ([`WireMsg`]) from a fixed pool of event
-//! loops instead:
+//! Every publisher, subscriber, Backup-bridge, detector and control
+//! connection to a broker is served here, from a fixed pool of event loops
+//! speaking the wire protocol ([`WireMsg`]) — so edge fan-in at publisher
+//! counts in the tens of thousands costs no thread per peer:
 //!
 //! - **N event loops** (default: one per core, capped at 4), each owning
 //!   an epoll-style [`Poller`] with oneshot re-arm semantics. Loop 0 also
@@ -23,8 +22,9 @@
 //!   Deliveries to a full queue are dropped and counted — a slow consumer
 //!   loses its own frames, never the loop.
 //!
-//! Decoded messages feed the broker's existing sharded admit path and
-//! fault hooks unchanged — this module replaces the socket layer only.
+//! Decoded messages feed the broker's sharded admit path and fault hooks
+//! through its channel protocol ([`BrokerMsg`]); this module is the socket
+//! layer only.
 //! The control plane for deliberate operations (Promote, Stats, Trace)
 //! rides the same connections but is answered from queued responses, so a
 //! management round-trip never blocks a data loop either.
@@ -46,38 +46,7 @@ use polling::{Event, Events, Poller};
 use crate::broker_rt::{BrokerMsg, Delivered, DeliveryNotify, RtBroker};
 use frame_types::wire::{EncodedFrame, FrameSink, FrameWriteQueue, WireMsg};
 
-use crate::tcp::{Decoded, FrameDecoder, LogBackoff, TcpBrokerServer};
-
-/// Which transport serves a broker's TCP ingress.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum IngressMode {
-    /// One OS thread per connection ([`TcpBrokerServer`]): simple,
-    /// per-connection blocking I/O, fine at testbed scale. Kept selectable
-    /// for A/B measurement against the reactor.
-    Threaded,
-    /// A fixed pool of readiness-driven event loops ([`ReactorServer`]).
-    #[default]
-    Reactor,
-}
-
-impl IngressMode {
-    /// Parses the CLI spelling (`"threaded"` / `"reactor"`).
-    pub fn parse(s: &str) -> Option<IngressMode> {
-        match s {
-            "threaded" => Some(IngressMode::Threaded),
-            "reactor" => Some(IngressMode::Reactor),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            IngressMode::Threaded => "threaded",
-            IngressMode::Reactor => "reactor",
-        }
-    }
-}
+use crate::tcp::{Decoded, FrameDecoder};
 
 /// Tuning knobs for a [`ReactorServer`].
 #[derive(Clone, Debug)]
@@ -140,12 +109,12 @@ const CPU_STAMP_EVERY: u32 = 64;
 const ACCEPT_BATCH: usize = 512;
 
 /// How long a bridged liveness poll waits for the broker's ack before the
-/// reactor goes silent on it (mirrors the threaded path's 50 ms — a dead
-/// broker must look dead to the failure detector).
+/// reactor goes silent on it (a dead broker must look dead to the failure
+/// detector).
 const POLL_ACK_DEADLINE: Duration = Duration::from_millis(50);
 
-/// A readiness-driven TCP front end serving the same protocol as
-/// [`TcpBrokerServer`] from a fixed pool of event loops.
+/// A readiness-driven TCP front end serving a broker's wire protocol from a
+/// fixed pool of event loops.
 pub struct ReactorServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -239,46 +208,50 @@ impl ReactorServer {
     }
 }
 
-/// A running ingress front end of either flavor, so embedders can switch
-/// transports ([`IngressMode`]) without changing their shutdown plumbing.
-pub enum IngressServer {
-    /// Thread-per-connection.
-    Threaded(TcpBrokerServer),
-    /// Event-loop pool.
-    Reactor(ReactorServer),
+/// Rate-limiter for accept-loop error logging: the first error in a run
+/// logs immediately, repeats back off exponentially (1 s, 2 s, … capped at
+/// 30 s) and report how many lines were suppressed in between. A
+/// successful accept resets the backoff, so distinct incidents each get an
+/// immediate first line.
+struct LogBackoff {
+    suppressed: u64,
+    next_log: Option<Instant>,
+    interval: Duration,
 }
 
-impl IngressServer {
-    /// The bound address.
-    pub fn local_addr(&self) -> SocketAddr {
-        match self {
-            IngressServer::Threaded(s) => s.local_addr(),
-            IngressServer::Reactor(s) => s.local_addr(),
+impl LogBackoff {
+    const FIRST_INTERVAL: Duration = Duration::from_secs(1);
+    const MAX_INTERVAL: Duration = Duration::from_secs(30);
+
+    fn new() -> LogBackoff {
+        LogBackoff {
+            suppressed: 0,
+            next_log: None,
+            interval: LogBackoff::FIRST_INTERVAL,
         }
     }
 
-    /// Stops serving and joins the transport's threads.
-    pub fn shutdown(self) {
-        match self {
-            IngressServer::Threaded(s) => s.shutdown(),
-            IngressServer::Reactor(s) => s.shutdown(),
+    /// Logs `line()` unless still inside the backoff window.
+    fn report(&mut self, line: impl FnOnce() -> String) {
+        let now = Instant::now();
+        if let Some(t) = self.next_log {
+            if now < t {
+                self.suppressed += 1;
+                return;
+            }
         }
+        if self.suppressed > 0 {
+            eprintln!("{} ({} similar errors suppressed)", line(), self.suppressed);
+        } else {
+            eprintln!("{}", line());
+        }
+        self.suppressed = 0;
+        self.next_log = Some(now + self.interval);
+        self.interval = (self.interval * 2).min(LogBackoff::MAX_INTERVAL);
     }
-}
 
-/// Binds `addr` and serves `broker` over the chosen ingress transport.
-///
-/// # Errors
-///
-/// Returns [`FrameError::Net`] on bind failure.
-pub fn serve_ingress(
-    addr: &str,
-    broker: RtBroker,
-    mode: IngressMode,
-) -> Result<IngressServer, FrameError> {
-    match mode {
-        IngressMode::Threaded => TcpBrokerServer::bind(addr, broker).map(IngressServer::Threaded),
-        IngressMode::Reactor => ReactorServer::bind(addr, broker).map(IngressServer::Reactor),
+    fn reset(&mut self) {
+        *self = LogBackoff::new();
     }
 }
 
@@ -317,10 +290,9 @@ struct Conn {
     tag: Arc<ConnTag>,
     peer: String,
     decoder: FrameDecoder,
-    /// The byte-bounded outbound queue — the same [`FrameWriteQueue`]
-    /// (behind [`FrameSink`]) the threaded path flushes, so drop
-    /// accounting, vectored writes and partial-write resume are one
-    /// implementation, not two divergent copies.
+    /// The byte-bounded outbound queue ([`FrameWriteQueue`] behind
+    /// [`FrameSink`]): drop accounting, vectored writes and partial-write
+    /// resume.
     out: FrameWriteQueue,
     /// Writable interest is registered (a write backlog exists).
     wants_write: bool,
@@ -381,9 +353,8 @@ fn run_loop(ctx: LoopCtx) {
         }
         if !ctx.broker.is_alive() {
             // Broker crashed (or was killed): every connection goes down
-            // with it, exactly like the thread-per-connection handlers
-            // returning. The loop stays up to drain accepts and wait for
-            // shutdown.
+            // with it, so peers see the broker's death as EOF. The loop
+            // stays up to drain accepts and wait for shutdown.
             if broker_was_alive {
                 broker_was_alive = false;
                 for key in 0..conns.len() {
@@ -515,7 +486,7 @@ fn accept_batch(
             Ok((stream, _peer)) => {
                 backoff.reset();
                 if broker_dead {
-                    continue; // accept-and-close, like dead handlers
+                    continue; // accept-and-close: the broker is gone
                 }
                 ctx.gauges.record_accept();
                 let target = *next_loop % ctx.peers.len();
@@ -682,8 +653,7 @@ fn read_budgeted(
                     }
                 }
                 Decoded::Malformed(e) => {
-                    // Frame-aligned still: drop the frame, keep serving
-                    // (same contract as the blocking path).
+                    // Frame-aligned still: drop the frame, keep serving.
                     eprintln!(
                         "frame-rt/reactor: dropping malformed frame from {}: {e}",
                         conn.peer
@@ -820,8 +790,7 @@ fn settle_polls(conn: &mut Conn) -> Result<(), ()> {
             Err(TryRecvError::Empty) => {
                 if Instant::now() >= front.expires_at {
                     // Broker never answered in time: silence, so the
-                    // detector's timeout fires exactly as with a dead
-                    // threaded handler.
+                    // detector's timeout fires as for a dead broker.
                     conn.pending_polls.pop_front();
                     continue;
                 }

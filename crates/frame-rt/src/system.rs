@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 
 use crate::broker_rt::{BrokerMsg, Delivered, RtBroker, RtBrokerThreads};
 use crate::fault::{fate_of, FaultHook, Hop, SharedFaultHook};
-use crate::reactor::{serve_ingress, IngressMode, IngressServer};
+use crate::reactor::ReactorServer;
 
 /// A publisher with retention and fail-over re-send, bound to the broker
 /// pair.
@@ -140,7 +140,7 @@ pub struct RtSystem {
     flight_sink: Option<FlightSink>,
     obs_sampler: Option<ObsSampler>,
     obs_server: Option<ObsServer>,
-    ingress_server: Option<IngressServer>,
+    ingress_server: Option<ReactorServer>,
     overload_ticker: Option<OverloadTicker>,
     hook: SharedFaultHook,
 }
@@ -236,7 +236,6 @@ pub struct RtSystemBuilder {
     clock: Option<Arc<dyn Clock>>,
     obs: Option<String>,
     sampler: SamplerConfig,
-    ingress: IngressMode,
     listen: Option<String>,
     overload: Option<(OverloadConfig, bool)>,
     hook: SharedFaultHook,
@@ -322,18 +321,9 @@ impl RtSystemBuilder {
         self
     }
 
-    /// Which TCP ingress transport [`RtSystemBuilder::listen`] uses
-    /// (default [`IngressMode::Reactor`]). Keep both selectable for A/B
-    /// measurement of thread-per-connection vs the event-loop reactor.
-    pub fn ingress(mut self, mode: IngressMode) -> Self {
-        self.ingress = mode;
-        self
-    }
-
     /// Serve the Primary broker's wire protocol on `addr` (e.g.
     /// `"127.0.0.1:0"`; read the bound port back with
-    /// [`RtSystem::ingress_addr`]) using the transport chosen via
-    /// [`RtSystemBuilder::ingress`].
+    /// [`RtSystem::ingress_addr`]) through a [`ReactorServer`].
     pub fn listen(mut self, addr: impl Into<String>) -> Self {
         self.listen = Some(addr.into());
         self
@@ -356,7 +346,6 @@ impl RtSystemBuilder {
             clock,
             obs,
             sampler,
-            ingress,
             listen,
             overload,
             hook,
@@ -399,7 +388,7 @@ impl RtSystemBuilder {
         };
         let ingress_server = match listen {
             None => None,
-            Some(addr) => Some(serve_ingress(addr.as_str(), primary.clone(), ingress)?),
+            Some(addr) => Some(ReactorServer::bind(addr.as_str(), primary.clone())?),
         };
         let overload_ticker = match overload {
             None => None,
@@ -442,7 +431,6 @@ impl RtSystem {
             clock: None,
             obs: None,
             sampler: SamplerConfig::default(),
-            ingress: IngressMode::default(),
             listen: None,
             overload: None,
             hook: None,
@@ -485,7 +473,7 @@ impl RtSystem {
     /// The bound TCP ingress address, if [`RtSystemBuilder::listen`] was
     /// configured (useful with port 0).
     pub fn ingress_addr(&self) -> Option<std::net::SocketAddr> {
-        self.ingress_server.as_ref().map(IngressServer::local_addr)
+        self.ingress_server.as_ref().map(ReactorServer::local_addr)
     }
 
     /// The shared metrics sampler behind the observability endpoint, if

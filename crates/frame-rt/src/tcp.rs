@@ -1,35 +1,36 @@
-//! Loopback/LAN TCP transport for the threaded runtime.
+//! Loopback/LAN TCP clients and the Primary→Backup bridge.
 //!
 //! The in-process transport of [`crate::broker_rt`] uses channels; this
 //! module carries the same protocol over TCP so publishers, subscribers
 //! and the Backup peer can live in other processes or hosts — the shape of
-//! the paper's seven-host testbed. Frames are the length-prefixed binary
-//! bodies of [`frame_types::wire`] ([`WireMsg`]); this module only moves
-//! them over sockets. Reliability and ordering come from TCP, matching the
-//! model's reliable in-order interconnect assumption (§III-B).
+//! the paper's seven-host testbed. The broker side of every connection is
+//! [`crate::reactor::ReactorServer`]; this module holds the framing
+//! helpers, the incremental [`FrameDecoder`] the reactor feeds, the
+//! blocking [`TcpPublisher`] / [`TcpSubscriber`] peers and the Backup
+//! bridge. Frames are the length-prefixed binary bodies of
+//! [`frame_types::wire`] ([`WireMsg`]); this module only moves them over
+//! sockets. Reliability and ordering come from TCP, matching the model's
+//! reliable in-order interconnect assumption (§III-B).
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use frame_types::wire::{
     BackupEffect, BufferPool, FrameSink, FrameWriteQueue, WireCodec, SCRATCH_RETAIN_CAP,
 };
 use frame_types::{FrameError, Message, SubscriberId};
-use parking_lot::Mutex;
-use polling::{Event, Events, Poller};
 
-use crate::broker_rt::{BrokerMsg, Delivered, RtBroker};
+use crate::broker_rt::{BrokerMsg, RtBroker};
 use crate::fault::{fate_of, Hop, SharedFaultHook};
 
 pub use frame_types::wire::{WireMsg, MAX_FRAME_LEN};
 
 /// Shared free-list of codec scratch buffers (frame assembly) for
-/// connection handlers, the backup bridge and the reactor loops. Sized for
+/// publisher connections and the backup bridge. Sized for
 /// the workspace's connection churn: 64 slots retains scratch for 64
 /// codecs, and the 64 KiB retention cap matches the decoder's
 /// [`DECODER_RETAIN_CAP`] so one huge frame never pins its buffer.
@@ -239,375 +240,9 @@ impl FrameDecoder {
     }
 }
 
-/// Rate-limiter for accept-loop error logging: the first error in a run
-/// logs immediately, repeats back off exponentially (1 s, 2 s, … capped at
-/// 30 s) and report how many lines were suppressed in between. A
-/// successful accept resets the backoff, so distinct incidents each get an
-/// immediate first line.
-pub(crate) struct LogBackoff {
-    suppressed: u64,
-    next_log: Option<Instant>,
-    interval: Duration,
-}
-
-impl LogBackoff {
-    const FIRST_INTERVAL: Duration = Duration::from_secs(1);
-    const MAX_INTERVAL: Duration = Duration::from_secs(30);
-
-    pub(crate) fn new() -> LogBackoff {
-        LogBackoff {
-            suppressed: 0,
-            next_log: None,
-            interval: LogBackoff::FIRST_INTERVAL,
-        }
-    }
-
-    /// Logs `line()` unless still inside the backoff window.
-    pub(crate) fn report(&mut self, line: impl FnOnce() -> String) {
-        let now = Instant::now();
-        if let Some(t) = self.next_log {
-            if now < t {
-                self.suppressed += 1;
-                return;
-            }
-        }
-        if self.suppressed > 0 {
-            eprintln!("{} ({} similar errors suppressed)", line(), self.suppressed);
-        } else {
-            eprintln!("{}", line());
-        }
-        self.suppressed = 0;
-        self.next_log = Some(now + self.interval);
-        self.interval = (self.interval * 2).min(LogBackoff::MAX_INTERVAL);
-    }
-
-    pub(crate) fn reset(&mut self) {
-        *self = LogBackoff::new();
-    }
-}
-
-/// A TCP front end for a broker: accepts publisher, subscriber, peer and
-/// detector connections and bridges them to the broker's channel protocol.
-///
-/// One OS thread per connection — simple and sufficient at testbed scale.
-/// For high fan-in use [`crate::reactor::ReactorServer`], which serves the
-/// same protocol from a fixed pool of event loops.
-pub struct TcpBrokerServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    poller: Arc<Poller>,
-    last_error: Arc<Mutex<Option<FrameError>>>,
-    accept_thread: Option<JoinHandle<()>>,
-}
-
-impl TcpBrokerServer {
-    /// Binds `addr` (use port 0 for an ephemeral port) and starts serving
-    /// `broker`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FrameError::Net`] on bind failure.
-    pub fn bind(addr: &str, broker: RtBroker) -> Result<TcpBrokerServer, FrameError> {
-        let listener = TcpListener::bind(addr).map_err(FrameError::net)?;
-        let addr = listener.local_addr().map_err(FrameError::net)?;
-        listener.set_nonblocking(true).map_err(FrameError::net)?;
-        // Readiness-driven accept: park in `wait` until a connection (or a
-        // shutdown notify) arrives instead of sleep-polling `WouldBlock`.
-        let poller = Arc::new(Poller::new().map_err(FrameError::net)?);
-        const LISTENER_KEY: usize = 0;
-        poller
-            .add(&listener, Event::readable(LISTENER_KEY))
-            .map_err(FrameError::net)?;
-        let last_error: Arc<Mutex<Option<FrameError>>> = Arc::new(Mutex::new(None));
-        let stop = Arc::new(AtomicBool::new(false));
-        let (stop2, poller2, errs) = (stop.clone(), poller.clone(), last_error.clone());
-        let accept_thread = std::thread::Builder::new()
-            .name("frame-tcp-accept".into())
-            .spawn(move || {
-                frame_telemetry::register_thread_role(frame_telemetry::RoleKind::Conn, 0);
-                let mut conns: Vec<JoinHandle<()>> = Vec::new();
-                let mut events = Events::new();
-                let mut backoff = LogBackoff::new();
-                'accepting: while !stop2.load(Ordering::Acquire) {
-                    events.clear();
-                    // The timeout is only a safety net against a missed
-                    // notify; steady state wakes on readiness.
-                    let _ = poller2.wait(&mut events, Some(Duration::from_millis(100)));
-                    if events.is_empty() {
-                        continue;
-                    }
-                    // Drain the backlog, then re-arm the oneshot interest.
-                    loop {
-                        match listener.accept() {
-                            Ok((stream, peer)) => {
-                                if let Err(e) = stream.set_nonblocking(false) {
-                                    // The blocking handler cannot serve a
-                                    // nonblocking socket; shed the
-                                    // connection and surface the error.
-                                    let err = FrameError::net(&e);
-                                    backoff.report(|| {
-                                        format!(
-                                            "frame-rt/tcp: dropping connection from {peer}: \
-                                             set_nonblocking(false) failed: {err:?}"
-                                        )
-                                    });
-                                    *errs.lock() = Some(err);
-                                    continue;
-                                }
-                                let broker = broker.clone();
-                                let stop = stop2.clone();
-                                match std::thread::Builder::new()
-                                    .name("frame-tcp-conn".into())
-                                    .spawn(move || serve_connection(stream, broker, stop))
-                                {
-                                    Ok(handle) => {
-                                        backoff.reset();
-                                        conns.push(handle);
-                                    }
-                                    Err(e) => {
-                                        // Thread exhaustion must not kill
-                                        // the accept loop; shed this
-                                        // connection.
-                                        let err = FrameError::net(&e);
-                                        backoff.report(|| {
-                                            format!(
-                                                "frame-rt/tcp: dropping connection from {peer}: \
-                                                 cannot spawn handler: {err:?}"
-                                            )
-                                        });
-                                        *errs.lock() = Some(err);
-                                    }
-                                }
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                            Err(e) => {
-                                let err = FrameError::net(&e);
-                                backoff.report(|| format!("frame-rt/tcp: accept failed: {err:?}"));
-                                *errs.lock() = Some(err);
-                                // EMFILE/ENFILE and friends: yield to the
-                                // poller instead of spinning on the error.
-                                break;
-                            }
-                        }
-                        if stop2.load(Ordering::Acquire) {
-                            break 'accepting;
-                        }
-                    }
-                    let _ = poller2.modify(&listener, Event::readable(LISTENER_KEY));
-                }
-                for c in conns {
-                    let _ = c.join();
-                }
-            })
-            .map_err(FrameError::net)?;
-        Ok(TcpBrokerServer {
-            addr,
-            stop,
-            poller,
-            last_error,
-            accept_thread: Some(accept_thread),
-        })
-    }
-
-    /// The bound address (useful with ephemeral ports).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Takes the most recent accept-loop failure ([`FrameError::Net`]), if
-    /// any. The loop itself keeps serving across per-connection errors;
-    /// this is how they surface to the embedding process.
-    pub fn take_last_error(&self) -> Option<FrameError> {
-        self.last_error.lock().take()
-    }
-
-    /// Stops accepting and joins the accept loop. Open connections close
-    /// as their peers disconnect or the broker dies.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Release);
-        let _ = self.poller.notify();
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-fn serve_connection(stream: TcpStream, broker: RtBroker, stop: Arc<AtomicBool>) {
-    // All per-connection handler threads share one "conn" role slot: the
-    // interesting number is what the thread-per-connection front end costs
-    // in aggregate, not per ephemeral peer.
-    frame_telemetry::register_thread_role(frame_telemetry::RoleKind::Conn, 0);
-    serve_connection_inner(stream, broker, stop);
-    frame_telemetry::stamp_thread_cpu();
-}
-
-fn serve_connection_inner(stream: TcpStream, broker: RtBroker, stop: Arc<AtomicBool>) {
-    let codec = rent_codec();
-    let codec = serve_connection_loop(stream, broker, stop, codec);
-    return_codec(codec);
-}
-
-fn serve_connection_loop(
-    stream: TcpStream,
-    broker: RtBroker,
-    stop: Arc<AtomicBool>,
-    mut codec: WireCodec,
-) -> WireCodec {
-    // Frames are written whole and latency matters more than throughput on
-    // this control/delivery path, so disable Nagle coalescing.
-    stream.set_nodelay(true).ok();
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| "<unknown>".into());
-    let mut reader = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return codec,
-    };
-    reader
-        .set_read_timeout(Some(std::time::Duration::from_millis(100)))
-        .ok();
-    // Deliveries queue as shared EncodedFrames and leave in vectored
-    // batches (one writev for the burst); control responses write
-    // immediately via `respond`, never waiting behind a delivery batch.
-    let mut writer = stream;
-    let mut out = FrameWriteQueue::unbounded();
-    // If this connection subscribes, deliveries arrive on this channel and
-    // are pumped back over the socket.
-    let mut delivery_rx: Option<Receiver<Delivered>> = None;
-    let mut iters = 0u32;
-
-    loop {
-        iters = iters.wrapping_add(1);
-        if iters.is_multiple_of(64) {
-            frame_telemetry::stamp_thread_cpu();
-        }
-        if stop.load(Ordering::Acquire) || !broker.is_alive() {
-            return codec;
-        }
-        // Pump any pending deliveries for subscriber connections: frames
-        // encoded once at dispatch fan out here as refcount clones; only a
-        // hook-touched (or legacy in-process) delivery re-encodes.
-        if let Some(rx) = &delivery_rx {
-            while let Ok(d) = rx.try_recv() {
-                let frame = match d.wire {
-                    Some(frame) => frame,
-                    None => match codec.encode(&WireMsg::Deliver(d.message)) {
-                        Ok(frame) => frame,
-                        Err(_) => return codec,
-                    },
-                };
-                // Unbounded on purpose: this is a blocking socket, so the
-                // vectored flush below is the backpressure.
-                out.push_control(frame);
-            }
-            if !out.is_empty() {
-                match out.flush_blocking(&mut writer) {
-                    Ok(syscalls) => frame_telemetry::record_write_syscalls(syscalls),
-                    Err(_) => return codec,
-                }
-            }
-        }
-        let got = read_frame_checked(&mut reader);
-        // Length prefix + body are two `read_exact`s; a timeout or EOF
-        // burned (at least) the prefix read.
-        frame_telemetry::record_read_syscalls(if got.is_ok() { 2 } else { 1 });
-        let msg = match got {
-            Ok(m) => m,
-            Err(FrameReadError::Io(e))
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(FrameReadError::Malformed(e)) => {
-                // The body was consumed whole, so the stream is still
-                // frame-aligned: log and drop the frame, keep serving.
-                eprintln!("frame-rt/tcp: dropping malformed frame from {peer}: {e}");
-                continue;
-            }
-            Err(FrameReadError::Io(_)) => return codec, // EOF or truncation: drop the connection
-        };
-        match msg {
-            WireMsg::Publish(m) => {
-                let _ = broker.sender().send(BrokerMsg::Publish(m));
-            }
-            WireMsg::Resend(m) => {
-                let _ = broker.sender().send(BrokerMsg::Resend(m));
-            }
-            WireMsg::Replica(m) => {
-                let _ = broker.sender().send(BrokerMsg::Replica(m));
-            }
-            WireMsg::Prune(k) => {
-                let _ = broker.sender().send(BrokerMsg::Prune(k));
-            }
-            WireMsg::ReplicaBatch(batch) => {
-                let _ = broker.sender().send(BrokerMsg::ReplicaBatch(batch));
-            }
-            WireMsg::Poll(token) => {
-                // Bridge to the in-process poll protocol so a dead broker
-                // (proxy thread exited) stays silent, exactly like the
-                // channel transport.
-                let (ack_tx, ack_rx) = unbounded();
-                let _ = broker.sender().send(BrokerMsg::Poll(ack_tx));
-                if ack_rx
-                    .recv_timeout(std::time::Duration::from_millis(50))
-                    .is_ok()
-                    && respond(&mut writer, &WireMsg::PollAck(token), &mut codec).is_err()
-                {
-                    return codec;
-                }
-            }
-            WireMsg::Subscribe(id) => {
-                let (tx, rx) = unbounded();
-                broker.connect_subscriber_wire(id, tx);
-                delivery_rx = Some(rx);
-            }
-            WireMsg::Promote => {
-                let created = broker.promote().map(|n| n as u64).unwrap_or(0);
-                if respond(&mut writer, &WireMsg::Promoted(created), &mut codec).is_err() {
-                    return codec;
-                }
-            }
-            WireMsg::Stats => {
-                let json = frame_telemetry::to_json(&broker.telemetry().snapshot());
-                if respond(&mut writer, &WireMsg::StatsJson(json), &mut codec).is_err() {
-                    return codec;
-                }
-            }
-            WireMsg::Trace => {
-                let json = frame_telemetry::flight_to_json(&broker.telemetry().flight_snapshot());
-                if respond(&mut writer, &WireMsg::TraceJson(json), &mut codec).is_err() {
-                    return codec;
-                }
-            }
-            WireMsg::PollAck(_)
-            | WireMsg::Deliver(_)
-            | WireMsg::Promoted(_)
-            | WireMsg::StatsJson(_)
-            | WireMsg::TraceJson(_) => {
-                // Server-to-client frames arriving at the server: protocol
-                // violation; drop the connection.
-                return codec;
-            }
-        }
-    }
-}
-
-/// Writes one request/response frame immediately (one `write_all`, one
-/// syscall) — control acks must never queue behind a delivery batch, so
-/// `--watch`/`top` latency stays bounded by the request rate, not the
-/// delivery rate. Safe to interleave with the batched delivery path
-/// because the delivery queue is always fully drained before the next
-/// request is read.
-fn respond<W: Write>(writer: &mut W, msg: &WireMsg, codec: &mut WireCodec) -> std::io::Result<()> {
-    codec.encode_into(writer, msg)?;
-    frame_telemetry::record_write_syscalls(1);
-    writer.flush()
-}
-
 /// Bridges a Primary's Backup-bound traffic (replicas and prunes) over TCP
-/// to a Backup broker served by a [`TcpBrokerServer`] at `addr`.
+/// to a Backup broker served by a [`crate::reactor::ReactorServer`] at
+/// `addr`.
 ///
 /// Spawns a forwarder thread and wires it as the Primary's backup peer;
 /// the returned handle joins the forwarder on drop. If the TCP connection
@@ -917,9 +552,11 @@ impl TcpSubscriber {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reactor::ReactorServer;
     use frame_clock::MonotonicClock;
     use frame_core::{admit, BrokerConfig, BrokerRole};
     use frame_types::{BrokerId, NetworkParams, PublisherId, SeqNo, Time, TopicId, TopicSpec};
+    use std::net::TcpListener;
 
     fn spawn_broker() -> (RtBroker, crate::broker_rt::RtBrokerThreads) {
         let clock: Arc<dyn frame_clock::Clock> = Arc::new(MonotonicClock::new());
@@ -942,7 +579,7 @@ mod tests {
                 vec![SubscriberId(1)],
             )
             .unwrap();
-        let server = TcpBrokerServer::bind("127.0.0.1:0", broker.clone()).unwrap();
+        let server = ReactorServer::bind("127.0.0.1:0", broker.clone()).unwrap();
         let addr = server.local_addr();
 
         let sub = TcpSubscriber::connect(addr, SubscriberId(1)).unwrap();
@@ -975,35 +612,10 @@ mod tests {
     }
 
     #[test]
-    fn tcp_poll_answered_then_silent_after_kill() {
-        let (broker, threads) = spawn_broker();
-        let server = TcpBrokerServer::bind("127.0.0.1:0", broker.clone()).unwrap();
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        stream
-            .set_read_timeout(Some(std::time::Duration::from_millis(300)))
-            .unwrap();
-
-        write_frame(&mut stream, &WireMsg::Poll(7)).unwrap();
-        match read_frame(&mut stream).unwrap() {
-            WireMsg::PollAck(7) => {}
-            other => panic!("expected PollAck(7), got {other:?}"),
-        }
-
-        broker.kill();
-        // Dead broker: either no answer (timeout) or connection closed.
-        let _ = write_frame(&mut stream, &WireMsg::Poll(8));
-        match read_frame(&mut stream) {
-            Err(_) => {}
-            Ok(other) => panic!("dead broker must not ack, got {other:?}"),
-        }
-        server.shutdown();
-        threads.join();
-    }
-
-    #[test]
     fn distributed_pair_replicates_and_prunes_over_tcp() {
-        // Primary and Backup in "separate processes" (separate servers over
-        // loopback TCP), category-2 topic (replication required).
+        // Primary and Backup in "separate processes" (separate reactor
+        // servers over loopback TCP), category-2 topic (replication
+        // required).
         let clock: Arc<dyn frame_clock::Clock> = Arc::new(MonotonicClock::new());
         let (primary, pt) = RtBroker::spawn(
             BrokerId(0),
@@ -1025,10 +637,10 @@ mod tests {
             b.register_topic(admit(&spec, &net).unwrap(), vec![SubscriberId(1)])
                 .unwrap();
         }
-        let backup_server = TcpBrokerServer::bind("127.0.0.1:0", backup.clone()).unwrap();
+        let backup_server = ReactorServer::bind("127.0.0.1:0", backup.clone()).unwrap();
         let bridge = connect_backup_over_tcp(&primary, backup_server.local_addr()).unwrap();
 
-        let primary_server = TcpBrokerServer::bind("127.0.0.1:0", primary.clone()).unwrap();
+        let primary_server = ReactorServer::bind("127.0.0.1:0", primary.clone()).unwrap();
         let sub = TcpSubscriber::connect(primary_server.local_addr(), SubscriberId(1)).unwrap();
         std::thread::sleep(std::time::Duration::from_millis(50));
         let mut publisher = TcpPublisher::connect(primary_server.local_addr()).unwrap();
@@ -1090,7 +702,7 @@ mod tests {
                 vec![SubscriberId(1)],
             )
             .unwrap();
-        let server = TcpBrokerServer::bind("127.0.0.1:0", broker.clone()).unwrap();
+        let server = ReactorServer::bind("127.0.0.1:0", broker.clone()).unwrap();
         let addr = server.local_addr();
 
         let sub = TcpSubscriber::connect(addr, SubscriberId(1)).unwrap();
@@ -1160,7 +772,7 @@ mod tests {
     #[test]
     fn malformed_frame_is_dropped_and_connection_survives() {
         let (broker, threads) = spawn_broker();
-        let server = TcpBrokerServer::bind("127.0.0.1:0", broker.clone()).unwrap();
+        let server = ReactorServer::bind("127.0.0.1:0", broker.clone()).unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream
             .set_read_timeout(Some(std::time::Duration::from_secs(2)))

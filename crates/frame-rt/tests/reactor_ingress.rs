@@ -1,8 +1,8 @@
-//! The reactor ingress must be protocol-identical to the blocking
-//! thread-per-connection transport: same decode results at every possible
-//! byte split, same control-plane answers, same dead-broker silence, and
-//! the same survival of malformed frames — plus the fan-in it exists for
-//! (hundreds of publisher connections on a handful of loops).
+//! The reactor ingress: its incremental decoder agrees with the blocking
+//! client reader at every possible byte split, it answers the control
+//! plane, goes silent when its broker dies, survives malformed frames and
+//! closes on protocol violations — plus the fan-in it exists for (hundreds
+//! of publisher connections on a handful of loops).
 
 use std::io::Cursor;
 use std::net::TcpStream;
@@ -13,8 +13,8 @@ use frame_clock::{Clock, MonotonicClock};
 use frame_core::{admit, BrokerConfig, BrokerRole};
 use frame_rt::tcp::{read_frame_checked, write_frame, FrameReadError};
 use frame_rt::{
-    Decoded, FrameDecoder, IngressMode, ReactorConfig, ReactorServer, RtBroker, RtSystem,
-    TcpPublisher, TcpSubscriber, WireMsg, MAX_FRAME_LEN,
+    Decoded, FrameDecoder, ReactorConfig, ReactorServer, RtBroker, RtSystem, TcpPublisher,
+    TcpSubscriber, WireMsg, MAX_FRAME_LEN,
 };
 use frame_telemetry::Telemetry;
 use frame_types::{
@@ -427,39 +427,26 @@ fn reactor_fans_in_hundreds_of_publisher_connections() {
 }
 
 #[test]
-fn builder_serves_both_ingress_modes() {
-    for mode in [IngressMode::Threaded, IngressMode::Reactor] {
-        let sys = RtSystem::builder(BrokerConfig::frame())
-            .workers(1)
-            .ingress(mode)
-            .listen("127.0.0.1:0")
-            .start()
-            .expect("system with ingress starts");
-        let addr = sys.ingress_addr().expect("ingress bound");
-        let spec = TopicSpec::category(0, TopicId(1));
-        sys.add_topic(spec, vec![SubscriberId(1)]).unwrap();
+fn builder_listen_serves_the_primary() {
+    let sys = RtSystem::builder(BrokerConfig::frame())
+        .workers(1)
+        .listen("127.0.0.1:0")
+        .start()
+        .expect("system with ingress starts");
+    let addr = sys.ingress_addr().expect("ingress bound");
+    let spec = TopicSpec::category(0, TopicId(1));
+    sys.add_topic(spec, vec![SubscriberId(1)]).unwrap();
 
-        let subscriber = TcpSubscriber::connect(addr, SubscriberId(1)).expect("subscribe");
-        std::thread::sleep(StdDuration::from_millis(50));
-        let mut publisher = TcpPublisher::connect(addr).expect("connect");
-        publisher.publish(msg(1, 0, b"over-tcp")).unwrap();
-        let delivered = subscriber
-            .deliveries()
-            .recv_timeout(StdDuration::from_secs(5))
-            .expect("delivery through builder-configured ingress");
-        assert_eq!(delivered.payload.as_ref(), b"over-tcp");
-        sys.shutdown();
-    }
-}
-
-#[test]
-fn ingress_mode_parses_its_cli_spellings() {
-    assert_eq!(IngressMode::parse("threaded"), Some(IngressMode::Threaded));
-    assert_eq!(IngressMode::parse("reactor"), Some(IngressMode::Reactor));
-    assert_eq!(IngressMode::parse("epoll"), None);
-    assert_eq!(IngressMode::default(), IngressMode::Reactor);
-    assert_eq!(IngressMode::Reactor.name(), "reactor");
-    assert_eq!(IngressMode::Threaded.name(), "threaded");
+    let subscriber = TcpSubscriber::connect(addr, SubscriberId(1)).expect("subscribe");
+    std::thread::sleep(StdDuration::from_millis(50));
+    let mut publisher = TcpPublisher::connect(addr).expect("connect");
+    publisher.publish(msg(1, 0, b"over-tcp")).unwrap();
+    let delivered = subscriber
+        .deliveries()
+        .recv_timeout(StdDuration::from_secs(5))
+        .expect("delivery through builder-configured ingress");
+    assert_eq!(delivered.payload.as_ref(), b"over-tcp");
+    sys.shutdown();
 }
 
 #[test]

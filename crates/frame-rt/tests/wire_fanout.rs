@@ -1,4 +1,4 @@
-//! Encode-once fan-out over the threaded TCP ingress: one published
+//! Encode-once fan-out over the reactor TCP ingress: one published
 //! message to 64 wire subscribers must be encoded exactly once, arrive
 //! byte-identical on every socket, be dispatched exactly once per
 //! subscriber, and leave its Table-3 backup effects in order.
@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use frame_clock::MonotonicClock;
 use frame_core::{admit, BrokerConfig, BrokerRole};
-use frame_rt::{write_frame, BrokerMsg, RtBroker, TcpBrokerServer, TcpPublisher, WireMsg};
+use frame_rt::{write_frame, BrokerMsg, ReactorServer, RtBroker, TcpPublisher, WireMsg};
 use frame_types::wire::encoded_frame_count;
 use frame_types::{
     BrokerId, Message, NetworkParams, PublisherId, SeqNo, SubscriberId, TopicId, TopicSpec,
@@ -54,7 +54,7 @@ fn fanout_of_64_shares_one_encode_and_delivers_identical_bytes() {
     let (backup_tx, backup_rx) = crossbeam::channel::unbounded();
     broker.connect_backup(backup_tx);
 
-    let server = TcpBrokerServer::bind("127.0.0.1:0", broker.clone()).unwrap();
+    let server = ReactorServer::bind("127.0.0.1:0", broker.clone()).unwrap();
     let addr = server.local_addr();
 
     // 64 raw sockets, each subscribing one id: raw so the test reads the
@@ -102,8 +102,8 @@ fn fanout_of_64_shares_one_encode_and_delivers_identical_bytes() {
         }
     }
     // One dispatched message → exactly one frame encode, shared by all 64
-    // write paths (the publisher and control paths encode inline without
-    // producing shared frames).
+    // write paths (the publisher encodes inline without producing a shared
+    // frame, and this test sends no control requests).
     assert_eq!(
         encoded_frame_count() - encodes_before,
         1,

@@ -14,8 +14,8 @@
 //!   [`stamp_thread_cpu`] (a raw, dependency-free syscall; the clock only
 //!   reads the *calling* thread, so each role thread stamps itself at
 //!   natural throttle points in its loop). Stamps accumulate deltas, so
-//!   ephemeral threads sharing a slot — e.g. per-connection ingress
-//!   threads — still sum correctly.
+//!   ephemeral threads sharing a slot — e.g. per-connection observability
+//!   scrape threads — still sum correctly.
 //! - **Syscalls** — the ingress paths count their `read`/`write` calls
 //!   through [`record_read_syscalls`] / [`record_write_syscalls`].
 //!
@@ -45,10 +45,6 @@ pub enum RoleKind {
     Detector,
     /// The Primary→Backup replication bridge.
     BackupBridge,
-    /// Threaded-ingress connection handling (accept loop + per-connection
-    /// threads, aggregated into one slot — 100k ephemeral publishers must
-    /// not claim 100k slots).
-    Conn,
     /// Observability surface (HTTP accept loop + scrape connections).
     Obs,
     /// The metrics sampler thread.
@@ -68,7 +64,6 @@ impl RoleKind {
             RoleKind::Proxy => "proxy",
             RoleKind::Detector => "detector",
             RoleKind::BackupBridge => "backup-bridge",
-            RoleKind::Conn => "conn",
             RoleKind::Obs => "obs",
             RoleKind::Sampler => "sampler",
             RoleKind::FlightSink => "flight-sink",
@@ -86,11 +81,7 @@ impl RoleKind {
     pub fn hot_path(self) -> bool {
         matches!(
             self,
-            RoleKind::Reactor
-                | RoleKind::Worker
-                | RoleKind::Proxy
-                | RoleKind::BackupBridge
-                | RoleKind::Conn
+            RoleKind::Reactor | RoleKind::Worker | RoleKind::Proxy | RoleKind::BackupBridge
         )
     }
 
@@ -101,11 +92,10 @@ impl RoleKind {
             RoleKind::Proxy => 3,
             RoleKind::Detector => 4,
             RoleKind::BackupBridge => 5,
-            RoleKind::Conn => 6,
-            RoleKind::Obs => 7,
-            RoleKind::Sampler => 8,
-            RoleKind::FlightSink => 9,
-            RoleKind::Other => 10,
+            RoleKind::Obs => 6,
+            RoleKind::Sampler => 7,
+            RoleKind::FlightSink => 8,
+            RoleKind::Other => 9,
         }
     }
 
@@ -116,11 +106,10 @@ impl RoleKind {
             3 => RoleKind::Proxy,
             4 => RoleKind::Detector,
             5 => RoleKind::BackupBridge,
-            6 => RoleKind::Conn,
-            7 => RoleKind::Obs,
-            8 => RoleKind::Sampler,
-            9 => RoleKind::FlightSink,
-            10 => RoleKind::Other,
+            6 => RoleKind::Obs,
+            7 => RoleKind::Sampler,
+            8 => RoleKind::FlightSink,
+            9 => RoleKind::Other,
             _ => return None,
         })
     }

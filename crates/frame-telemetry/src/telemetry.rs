@@ -1110,7 +1110,7 @@ pub struct TelemetrySnapshot {
     #[serde(default)]
     pub queues: Vec<QueueGaugeSnapshot>,
     /// Per-event-loop reactor ingress counters, sorted by loop index
-    /// (empty when the threaded ingress is used). `default` for older
+    /// (empty when no TCP ingress is served). `default` for older
     /// snapshots.
     #[serde(default)]
     pub reactor_loops: Vec<ReactorLoopSnapshot>,
