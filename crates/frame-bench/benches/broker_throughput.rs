@@ -25,7 +25,7 @@ use std::time::Instant;
 use crossbeam::channel::unbounded;
 use frame_clock::{Clock, MonotonicClock};
 use frame_core::{admit, BrokerConfig, BrokerRole, SchedulingPolicy};
-use frame_rt::{BrokerMsg, RtBroker};
+use frame_rt::RtBroker;
 use frame_telemetry::Telemetry;
 use frame_types::{
     BrokerId, Duration, Message, NetworkParams, PublisherId, SeqNo, SubscriberId, TopicId,
@@ -48,7 +48,8 @@ struct RunResult {
     dispatches: u64,
     queue_high_watermark: u64,
     /// Hot-path heap allocations per published message (sum over the
-    /// proxy/worker roles below) — the figure the perf gate watches.
+    /// admitting publisher and worker roles below) — the figure the perf
+    /// gate watches.
     allocs_per_msg: f64,
     /// Per-role resource deltas over this run (allocations, CPU,
     /// syscalls), from the frame-telemetry role profile.
@@ -126,21 +127,28 @@ fn run_once(policy: SchedulingPolicy, workers: usize, messages: u64) -> RunResul
         }));
     }
 
-    let sender = broker.sender();
     let start = Instant::now();
-    for i in 0..messages {
-        let topic = (i % u64::from(TOPICS)) as u32;
-        let seq = i / u64::from(TOPICS);
-        sender
-            .send(BrokerMsg::Publish(Message::new(
-                TopicId(topic),
-                PublisherId(0),
-                SeqNo(seq),
-                clock.now(),
-                &b"0123456789abcdef"[..],
-            )))
-            .unwrap();
-    }
+    let publisher = {
+        let broker = broker.clone();
+        std::thread::spawn(move || {
+            // Admission runs on the publishing thread, as it does on a
+            // reactor loop, so its cost is charged to that hot-path role.
+            frame_telemetry::register_thread_role(frame_telemetry::RoleKind::Reactor, 0);
+            for i in 0..messages {
+                let topic = (i % u64::from(TOPICS)) as u32;
+                let seq = i / u64::from(TOPICS);
+                broker.publish(Message::new(
+                    TopicId(topic),
+                    PublisherId(0),
+                    SeqNo(seq),
+                    clock.now(),
+                    &b"0123456789abcdef"[..],
+                ));
+            }
+            frame_telemetry::stamp_thread_cpu();
+        })
+    };
+    publisher.join().expect("publisher");
     let mut drained = 0u64;
     for d in drainers {
         drained += d.join().expect("drainer");
@@ -154,7 +162,7 @@ fn run_once(policy: SchedulingPolicy, workers: usize, messages: u64) -> RunResul
     let stats = broker.stats();
     broker.shutdown();
     threads.join();
-    // Worker/proxy threads stamp their CPU totals on exit, so the diff is
+    // Worker threads stamp their CPU totals on exit, so the diff is
     // only complete once the pool has joined.
     let roles = frame_bench::role_costs(
         &profile_before,

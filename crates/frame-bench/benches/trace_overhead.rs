@@ -31,7 +31,7 @@ use bytes::Bytes;
 use crossbeam::channel::unbounded;
 use frame_clock::{Clock, MonotonicClock};
 use frame_core::{admit, Broker, BrokerConfig, BrokerRole};
-use frame_rt::{BrokerMsg, RtBroker};
+use frame_rt::RtBroker;
 use frame_telemetry::Telemetry;
 use frame_types::{
     BrokerId, Duration, Message, NetworkParams, PublisherId, SeqNo, SubscriberId, Time, TopicId,
@@ -202,20 +202,27 @@ fn run_broker(
             got
         }));
     }
-    let sender = broker.sender();
     let start = Instant::now();
-    for i in 0..messages {
-        let topic = (i % u64::from(TOPICS)) as u32;
-        sender
-            .send(BrokerMsg::Publish(Message::new(
-                TopicId(topic),
-                PublisherId(0),
-                SeqNo(i / u64::from(TOPICS)),
-                clock.now(),
-                &b"0123456789abcdef"[..],
-            )))
-            .unwrap();
-    }
+    let publisher = {
+        let (broker, clock) = (broker.clone(), clock.clone());
+        std::thread::spawn(move || {
+            // Admission runs on the publishing thread, as it does on a
+            // reactor loop, so its cost is charged to that hot-path role.
+            frame_telemetry::register_thread_role(frame_telemetry::RoleKind::Reactor, 0);
+            for i in 0..messages {
+                let topic = (i % u64::from(TOPICS)) as u32;
+                broker.publish(Message::new(
+                    TopicId(topic),
+                    PublisherId(0),
+                    SeqNo(i / u64::from(TOPICS)),
+                    clock.now(),
+                    &b"0123456789abcdef"[..],
+                ));
+            }
+            frame_telemetry::stamp_thread_cpu();
+        })
+    };
+    publisher.join().expect("publisher");
     let mut drained = 0u64;
     for d in drainers {
         drained += d.join().expect("drainer");

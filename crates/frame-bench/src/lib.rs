@@ -147,7 +147,7 @@ impl HostMeta {
 /// difference, so repeated runs in the same process stay independent.
 #[derive(Clone, Debug, serde::Serialize)]
 pub struct RoleCost {
-    /// Role name as registered (`reactor-0`, `worker-3`, `proxy`, …).
+    /// Role name as registered (`reactor-0`, `worker-3`, `detector`, …).
     pub role: String,
     /// Whether the role sits on the per-message hot path.
     pub hot_path: bool,
@@ -398,7 +398,7 @@ mod tests {
         let before = vec![snap("worker-0", true, 100, 1_000_000)];
         let after = vec![
             snap("worker-0", true, 300, 5_000_000),
-            snap("proxy", true, 50, 0),
+            snap("reactor-0", true, 50, 0),
             snap("sampler", false, 10, 0),
             snap("detector", false, 0, 0), // idle: dropped from the diff
         ];
@@ -408,7 +408,7 @@ mod tests {
         assert_eq!(worker.allocs, 200, "baseline subtracted");
         assert!((worker.allocs_per_msg - 2.0).abs() < 1e-9);
         assert!((worker.cpu_ms - 4.0).abs() < 1e-9);
-        // Hot-path roll-up: worker (2.0) + proxy (0.5), sampler excluded.
+        // Hot-path roll-up: worker (2.0) + reactor (0.5), sampler excluded.
         assert!((hot_path_allocs_per_msg(&costs) - 2.5).abs() < 1e-9);
     }
 

@@ -232,7 +232,7 @@ impl Driver {
             self.stall_until_ms = self.lt_ms + stall.as_millis() as u64;
             return;
         }
-        if self.sys.poll_primary(Duration::from_millis(500)) {
+        if self.sys.poll_primary() {
             self.last_ack_ms = self.lt_ms;
             self.telemetry.heartbeat(HeartbeatKind::PrimaryAck, now);
         } else if self.lt_ms.saturating_sub(self.last_ack_ms) >= self.detector_timeout_ms {

@@ -545,8 +545,8 @@ fn render_top(
     );
     let _ = writeln!(
         s,
-        "queues    depth {} (high {})   ingress {} (high {})",
-        p.queue_depth, p.queue_watermark, p.ingress_backlog, p.ingress_watermark,
+        "queues    depth {} (high {})",
+        p.queue_depth, p.queue_watermark,
     );
     let beats: Vec<String> = snap
         .heartbeats

@@ -92,10 +92,6 @@ pub struct SamplePoint {
     pub queue_depth: u64,
     /// Deepest scheduler queue watermark across brokers.
     pub queue_watermark: u64,
-    /// Proxy ingress backlog, summed across brokers.
-    pub ingress_backlog: u64,
-    /// Deepest ingress backlog watermark across brokers.
-    pub ingress_watermark: u64,
     /// Overload-controller rung at this sample (0 = normal service).
     pub rung: u64,
     /// Cumulative messages shed by the overload controller.
@@ -111,7 +107,7 @@ pub struct SamplePoint {
 /// differentiated from two consecutive [`TelemetrySnapshot`]s.
 #[derive(Clone, Debug, Default)]
 pub struct RoleRate {
-    /// Stable role name (`reactor-0`, `worker-3`, `proxy`, ...).
+    /// Stable role name (`reactor-0`, `worker-3`, `detector`, ...).
     pub role: String,
     /// Whether the role is on the per-message hot path (counted in
     /// [`SamplePoint::allocs_per_message`]).
@@ -298,13 +294,6 @@ impl Sampler {
                 .map(|q| q.high_watermark)
                 .max()
                 .unwrap_or(0),
-            ingress_backlog: snap.queues.iter().map(|q| q.ingress_backlog).sum(),
-            ingress_watermark: snap
-                .queues
-                .iter()
-                .map(|q| q.ingress_watermark)
-                .max()
-                .unwrap_or(0),
             rung: snap.overload.rung,
             shed: snap.decision_count(DecisionKind::Shed),
             health,
@@ -357,8 +346,6 @@ impl Sampler {
             .push("gauge.queue_depth", t, p.queue_depth as f64);
         self.store
             .push("gauge.queue_watermark", t, p.queue_watermark as f64);
-        self.store
-            .push("gauge.ingress_backlog", t, p.ingress_backlog as f64);
         self.store
             .push("health.severity", t, f64::from(p.health.verdict.severity()));
         // The overload ladder, once it has ever moved: rung + raw

@@ -1,13 +1,15 @@
-//! The threaded broker: a Message Proxy thread plus a pool of delivery
-//! worker threads over the two-plane broker state of `frame-core`.
+//! The threaded broker: a pool of delivery worker threads over the
+//! two-plane broker state of `frame-core`, with admission running on the
+//! caller's thread.
 //!
-//! Mirrors the paper's implementation structure (§V): the Message Proxy
-//! runs on its own thread (the paper dedicates one core to it), and
-//! Dispatchers/Replicators are a pool of generic worker threads (the paper
-//! uses 3 × cores) that block on the EDF Job Queue. Delivery to
-//! subscribers, replication to the Backup peer, and prune requests all
-//! travel over crossbeam channels — swap the channel senders for sockets
-//! and the same structure runs distributed.
+//! Mirrors the paper's implementation structure (§V) without giving the
+//! Message Proxy a thread of its own: [`RtBroker::publish`],
+//! [`RtBroker::resend`] and [`RtBroker::apply_backup`] admit on whichever
+//! thread calls them — a reactor event loop for socket traffic, the
+//! publisher's thread in-process. Dispatchers/Replicators are a pool of
+//! generic worker threads (the paper uses 3 × cores) that block on the EDF
+//! Job Queue. Deliveries leave over crossbeam channels, Backup-bound
+//! effects through a [`BackupSink`].
 //!
 //! # Locking design (two planes)
 //!
@@ -20,10 +22,10 @@
 //!   held only to push, pop or cancel a job.
 //!
 //! A worker locks the scheduler to pop, then only the one shard its job
-//! touches; the proxy locks only the shard it is admitting into (plus the
-//! scheduler to enqueue the generated jobs). Ingress on topic A therefore
-//! never blocks a worker dispatching topic B, and N workers drain the heap
-//! concurrently, serializing only per topic.
+//! touches; an admitting caller locks only the shard it is admitting into
+//! (plus the scheduler to enqueue the generated jobs). Ingress on topic A
+//! therefore never blocks a worker dispatching topic B, and N workers drain
+//! the heap concurrently, serializing only per topic.
 //!
 //! The topic is also the unit of *execution*: workers take jobs with
 //! [`Scheduler::claim`], so at most one job per topic is in flight and a
@@ -36,21 +38,20 @@
 //!
 //! Per-topic serialization is exactly what the paper's Table-3 coordination
 //! needs: every flag transition, cancellation and prune concerns one
-//! `(topic, seq)` copy. Backup-bound effects are emitted while the shard
-//! lock is held, so for any topic the channel order equals the Table-3
+//! `(topic, seq)` copy. Backup-bound effects are handed to the sink while
+//! the shard lock is held, so for any topic the sink sees the Table-3
 //! order — a prune can never overtake the replica it discards (this
 //! regressed once when effects were sent after dropping the broker lock;
 //! see ROADMAP).
 //!
-//! The subscriber map and the backup sender are read-mostly `RwLock`s:
-//! deliveries share the read lock and never contend with each other, and
-//! the backup sender is cloned once per effect batch.
+//! The subscriber map and the backup sink are read-mostly `RwLock`s:
+//! deliveries share the read lock and never contend with each other.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::Sender;
 use frame_clock::Clock;
 use frame_core::{
     apply_control_action, AdmitCtx, AdmittedTopic, BrokerConfig, BrokerRole, BrokerStats,
@@ -60,16 +61,15 @@ use frame_core::{
 use frame_telemetry::{DecisionKind, HeartbeatKind, IncidentKind, Stage, Telemetry};
 use frame_types::wire::{EncodedFrame, WireCodec, WireMsg};
 use frame_types::{
-    BrokerId, FrameError, Message, MessageKey, SeqNo, SpanPoint, SubscriberId, Time, TopicId,
-    TraceCtx,
+    BrokerId, FrameError, Message, SeqNo, SpanPoint, SubscriberId, Time, TopicId, TraceCtx,
 };
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 
 use crate::fault::{fate_of, BackupEffectKind, Hop, SharedFaultHook};
 
-/// Loop iterations between thread-CPU stamps on the proxy and worker
-/// threads: one `clock_gettime` per this many messages (or idle
-/// timeouts), so profiling stays off the per-message path.
+/// Loop iterations between thread-CPU stamps on the worker threads: one
+/// `clock_gettime` per this many jobs (or idle timeouts), so profiling
+/// stays off the per-message path.
 const CPU_STAMP_EVERY: u32 = 64;
 
 /// A delivery handed to a subscriber.
@@ -90,24 +90,12 @@ pub struct Delivered {
 
 pub use frame_types::wire::BackupEffect;
 
-/// Messages accepted by a broker's proxy thread.
-#[derive(Debug)]
-pub enum BrokerMsg {
-    /// A publisher message (normal path).
-    Publish(Message),
-    /// A publisher retention re-send (fail-over path).
-    Resend(Message),
-    /// A replica from the Primary (Backup path).
-    Replica(Message),
-    /// A prune request from the Primary (Backup path).
-    Prune(MessageKey),
-    /// A coalesced run of replicas/prunes from the Primary, applied in
-    /// order. Produced by batching transports (e.g. the TCP bridge) to cut
-    /// per-effect channel and syscall traffic.
-    ReplicaBatch(Vec<BackupEffect>),
-    /// Liveness poll; the broker answers on the provided channel.
-    Poll(Sender<()>),
-}
+/// Receives the Backup-bound effects (replicas and prunes) of one finished
+/// job, in emission order. It runs on worker threads under the emitting
+/// topic's shard lock, which is what keeps the Table-3 order per topic, so
+/// it must not block: in-process it is a closure over the Backup's
+/// [`RtBroker::apply_backup`], over TCP a send into the bridge's channel.
+pub type BackupSink = Arc<dyn Fn(Vec<BackupEffect>) + Send + Sync>;
 
 /// Called after deliveries are pushed onto a subscriber's channel, so an
 /// event-driven transport (the ingress reactor) can wake the loop that
@@ -147,7 +135,7 @@ struct Inner {
     /// subscriber. Until then `deliver` skips frame encoding entirely:
     /// in-process workloads pay zero wire cost.
     wire_subscribers: AtomicBool,
-    backup_tx: RwLock<Option<Sender<BrokerMsg>>>,
+    backup: RwLock<Option<BackupSink>>,
     telemetry: Telemetry,
     /// Emulated downstream wire/service time per finished job, in
     /// nanoseconds (see [`RtBroker::set_job_service_time`]). Zero (the
@@ -170,7 +158,6 @@ struct Inner {
 #[derive(Clone)]
 pub struct RtBroker {
     inner: Arc<Inner>,
-    tx: Sender<BrokerMsg>,
 }
 
 /// Join handles of a broker's threads, returned by [`RtBroker::spawn`].
@@ -228,7 +215,6 @@ impl RtBroker {
         telemetry: Telemetry,
         hook: SharedFaultHook,
     ) -> (RtBroker, RtBrokerThreads) {
-        let (tx, rx) = unbounded::<BrokerMsg>();
         let inner = Arc::new(Inner {
             id,
             config,
@@ -241,19 +227,17 @@ impl RtBroker {
             clock,
             subscribers: RwLock::new(std::collections::HashMap::new()),
             wire_subscribers: AtomicBool::new(false),
-            backup_tx: RwLock::new(None),
+            backup: RwLock::new(None),
             telemetry,
             job_service_ns: std::sync::atomic::AtomicU64::new(0),
             hook,
             overload: Mutex::new(None),
         });
 
-        let mut handles = Vec::with_capacity(workers + 1);
-        handles.push(spawn_proxy(inner.clone(), rx));
-        for w in 0..workers.max(1) {
-            handles.push(spawn_worker(inner.clone(), w));
-        }
-        (RtBroker { inner, tx }, RtBrokerThreads { handles })
+        let handles = (0..workers.max(1))
+            .map(|w| spawn_worker(inner.clone(), w))
+            .collect();
+        (RtBroker { inner }, RtBrokerThreads { handles })
     }
 
     /// The broker's id.
@@ -261,9 +245,54 @@ impl RtBroker {
         self.inner.id
     }
 
-    /// The channel on which this broker accepts [`BrokerMsg`]s.
-    pub fn sender(&self) -> Sender<BrokerMsg> {
-        self.tx.clone()
+    /// The runtime clock's current reading.
+    pub(crate) fn now(&self) -> Time {
+        self.inner.clock.now()
+    }
+
+    /// Admits a publisher message on the calling thread.
+    ///
+    /// A no-op once the broker is killed, when it is not Primary, or for
+    /// an unknown topic — a send to a dead broker is a dropped packet.
+    pub fn publish(&self, message: Message) {
+        self.admit(message, BufferSource::Message);
+    }
+
+    /// Admits a publisher's retention re-send (the fail-over path) on the
+    /// calling thread; no-op under the same conditions as
+    /// [`RtBroker::publish`].
+    pub fn resend(&self, message: Message) {
+        self.admit(message, BufferSource::Resend);
+    }
+
+    fn admit(&self, message: Message, source: BufferSource) {
+        let inner = &*self.inner;
+        if !inner.alive.load(Ordering::Acquire) {
+            return;
+        }
+        let now = inner.clock.now();
+        let created = ingress(inner, message, source, now);
+        inner
+            .telemetry
+            .record_stage(Stage::ProxyIngress, inner.clock.now().saturating_since(now));
+        // One wake-up per job: waking the whole pool for one job only
+        // makes the losers spin back to sleep.
+        for _ in 0..created {
+            inner.job_ready.notify_one();
+        }
+    }
+
+    /// Applies replicas and prunes from the Primary, in order, on the
+    /// calling thread. A no-op once the broker is killed; effects arriving
+    /// while it is not a Backup are ignored one by one.
+    pub fn apply_backup(&self, effects: impl IntoIterator<Item = BackupEffect>) {
+        let inner = &*self.inner;
+        if !inner.alive.load(Ordering::Acquire) {
+            return;
+        }
+        for effect in effects {
+            apply_backup_effect(inner, effect);
+        }
     }
 
     /// Registers a topic and its subscribers.
@@ -336,9 +365,10 @@ impl RtBroker {
         );
     }
 
-    /// Connects the Backup peer (replicas and prunes are sent there).
-    pub fn connect_backup(&self, backup: Sender<BrokerMsg>) {
-        *self.inner.backup_tx.write() = Some(backup);
+    /// Connects the Backup peer: every finished job's replicas and prunes
+    /// are handed to `sink`.
+    pub fn connect_backup(&self, sink: BackupSink) {
+        *self.inner.backup.write() = Some(sink);
     }
 
     /// Crash the broker (fail-stop): threads stop processing immediately,
@@ -599,112 +629,23 @@ fn ingress(inner: &Inner, mut message: Message, source: BufferSource, now: Time)
     created
 }
 
-fn apply_replica(inner: &Inner, message: Message) {
+fn apply_backup_effect(inner: &Inner, effect: BackupEffect) {
     if *inner.role.read() != BrokerRole::Backup {
         return;
     }
-    let Some(slot) = shard_of(inner, message.topic) else {
+    let topic = match &effect {
+        BackupEffect::Replica(m) => m.topic,
+        BackupEffect::Prune(k) => k.topic,
+    };
+    let Some(slot) = shard_of(inner, topic) else {
         return;
     };
     let mut guard = lock_shard(inner, &slot);
     let ShardSlot { shard, stats } = &mut *guard;
-    shard.on_replica(message, stats);
-}
-
-fn apply_prune(inner: &Inner, key: MessageKey) {
-    if *inner.role.read() != BrokerRole::Backup {
-        return;
+    match effect {
+        BackupEffect::Replica(m) => shard.on_replica(m, stats),
+        BackupEffect::Prune(k) => shard.on_prune(k.seq, stats),
     }
-    let Some(slot) = shard_of(inner, key.topic) else {
-        return;
-    };
-    let mut guard = lock_shard(inner, &slot);
-    let ShardSlot { shard, stats } = &mut *guard;
-    shard.on_prune(key.seq, stats);
-}
-
-fn spawn_proxy(inner: Arc<Inner>, rx: Receiver<BrokerMsg>) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name("frame-proxy".into())
-        .spawn(move || {
-            frame_telemetry::register_thread_role(frame_telemetry::RoleKind::Proxy, 0);
-            let mut iters = 0u32;
-            loop {
-                iters = iters.wrapping_add(1);
-                if iters.is_multiple_of(CPU_STAMP_EVERY) {
-                    frame_telemetry::stamp_thread_cpu();
-                }
-                // recv with a timeout so kill() is noticed even when no
-                // traffic arrives (a blocking recv would deadlock join()).
-                let msg = match rx.recv_timeout(std::time::Duration::from_millis(10)) {
-                    Ok(m) => m,
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                        if !inner.alive.load(Ordering::Acquire) {
-                            break;
-                        }
-                        // An idle proxy is a live proxy: beat on timeouts
-                        // too, or quiet systems would trip the watchdog.
-                        inner
-                            .telemetry
-                            .heartbeat(HeartbeatKind::Proxy, inner.clock.now());
-                        continue;
-                    }
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
-                };
-                if !inner.alive.load(Ordering::Acquire) {
-                    break;
-                }
-                let now = inner.clock.now();
-                inner.telemetry.heartbeat(HeartbeatKind::Proxy, now);
-                inner
-                    .telemetry
-                    .record_ingress_backlog(inner.id, rx.len() as u64);
-                let created = match msg {
-                    BrokerMsg::Publish(m) => {
-                        let n = ingress(&inner, m, BufferSource::Message, now);
-                        inner.telemetry.record_stage(
-                            Stage::ProxyIngress,
-                            inner.clock.now().saturating_since(now),
-                        );
-                        n
-                    }
-                    BrokerMsg::Resend(m) => {
-                        let n = ingress(&inner, m, BufferSource::Resend, now);
-                        inner.telemetry.record_stage(
-                            Stage::ProxyIngress,
-                            inner.clock.now().saturating_since(now),
-                        );
-                        n
-                    }
-                    BrokerMsg::Replica(m) => {
-                        apply_replica(&inner, m);
-                        0
-                    }
-                    BrokerMsg::Prune(k) => {
-                        apply_prune(&inner, k);
-                        0
-                    }
-                    BrokerMsg::ReplicaBatch(batch) => {
-                        for effect in batch {
-                            match effect {
-                                BackupEffect::Replica(m) => apply_replica(&inner, m),
-                                BackupEffect::Prune(k) => apply_prune(&inner, k),
-                            }
-                        }
-                        0
-                    }
-                    BrokerMsg::Poll(reply) => {
-                        let _ = reply.send(());
-                        0
-                    }
-                };
-                if created > 0 {
-                    inner.job_ready.notify_all();
-                }
-            }
-            frame_telemetry::stamp_thread_cpu();
-        })
-        .expect("spawn proxy thread")
 }
 
 /// Jobs' worth of emulated wire time a worker accumulates before paying
@@ -874,8 +815,8 @@ fn run_job(inner: &Inner, job: Job, effects: &mut Vec<Effect>, codec: &mut WireC
     service_ns
 }
 
-/// Sends the backup-bound effects of one finished job, cloning the backup
-/// sender once for the whole batch.
+/// Hands the backup-bound effects of one finished job to the backup sink
+/// as one batch.
 ///
 /// Each effect crosses the Primary→Backup hop through the fault hook (if
 /// any): dropped effects never leave, truncated replicas leave cut short,
@@ -925,31 +866,20 @@ fn send_backup_batch(inner: &Inner, effects: &[Effect]) {
     if batch.is_empty() && delayed.is_empty() {
         return;
     }
-    let Some(tx) = inner.backup_tx.read().clone() else {
+    let backup = inner.backup.read();
+    let Some(sink) = backup.as_ref() else {
         return;
     };
     for (delay, effect) in delayed {
-        let tx = tx.clone();
+        let sink = sink.clone();
         std::thread::spawn(move || {
             std::thread::sleep(delay);
-            let _ = tx.send(match effect {
-                BackupEffect::Replica(m) => BrokerMsg::Replica(m),
-                BackupEffect::Prune(k) => BrokerMsg::Prune(k),
-            });
+            sink(vec![effect]);
         });
     }
-    if batch.is_empty() {
-        return;
+    if !batch.is_empty() {
+        sink(batch);
     }
-    let msg = if batch.len() == 1 {
-        match batch.pop().expect("non-empty") {
-            BackupEffect::Replica(m) => BrokerMsg::Replica(m),
-            BackupEffect::Prune(k) => BrokerMsg::Prune(k),
-        }
-    } else {
-        BrokerMsg::ReplicaBatch(batch)
-    };
-    let _ = tx.send(msg);
 }
 
 /// Pushes deliveries to subscriber channels under the shared (read) side
@@ -1067,6 +997,7 @@ fn deliver(inner: &Inner, effects: &[Effect], now: Time, codec: &mut WireCodec) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam::channel::unbounded;
     use frame_clock::MonotonicClock;
     use frame_core::admit;
     use frame_types::{NetworkParams, PublisherId, SeqNo, TopicId, TopicSpec};
@@ -1106,10 +1037,7 @@ mod tests {
         broker.connect_subscriber(SubscriberId(1), tx);
 
         for seq in 0..10 {
-            broker
-                .sender()
-                .send(BrokerMsg::Publish(msg(1, seq, clock.as_ref())))
-                .unwrap();
+            broker.publish(msg(1, seq, clock.as_ref()));
         }
         for seq in 0..10 {
             let d = rx
@@ -1139,10 +1067,7 @@ mod tests {
         broker.connect_subscriber(SubscriberId(1), tx);
         const N: u64 = 2_000;
         for seq in 0..N {
-            broker
-                .sender()
-                .send(BrokerMsg::Publish(msg(1, seq, clock.as_ref())))
-                .unwrap();
+            broker.publish(msg(1, seq, clock.as_ref()));
         }
         for seq in 0..N {
             let d = rx
@@ -1179,14 +1104,12 @@ mod tests {
         backup
             .register_topic(admitted(2, 1), vec![SubscriberId(1)])
             .unwrap();
-        primary.connect_backup(backup.sender());
+        let sink = backup.clone();
+        primary.connect_backup(Arc::new(move |effects| sink.apply_backup(effects)));
         let (tx, rx) = unbounded();
         primary.connect_subscriber(SubscriberId(1), tx);
 
-        primary
-            .sender()
-            .send(BrokerMsg::Publish(msg(1, 0, clock.as_ref())))
-            .unwrap();
+        primary.publish(msg(1, 0, clock.as_ref()));
         rx.recv_timeout(std::time::Duration::from_secs(2)).unwrap();
 
         // Wait until the backup both received the replica and applied the
@@ -1227,17 +1150,9 @@ mod tests {
 
         // Feed replicas directly (as a primary would), then promote.
         for seq in 0..5 {
-            backup
-                .sender()
-                .send(BrokerMsg::Replica(msg(1, seq, clock.as_ref())))
-                .unwrap();
+            backup.apply_backup([BackupEffect::Replica(msg(1, seq, clock.as_ref()))]);
         }
-        // Wait for ingestion.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-        while backup.stats().replicas_received < 5 {
-            assert!(std::time::Instant::now() < deadline);
-            std::thread::yield_now();
-        }
+        assert_eq!(backup.stats().replicas_received, 5);
         assert_eq!(backup.role(), BrokerRole::Backup);
         let created = backup.promote().unwrap();
         assert_eq!(created, 5);
@@ -1269,26 +1184,13 @@ mod tests {
         // the copy discarded (order preserved within the batch).
         let m = msg(1, 0, clock.as_ref());
         let key = m.key();
-        backup
-            .sender()
-            .send(BrokerMsg::ReplicaBatch(vec![
-                BackupEffect::Replica(m),
-                BackupEffect::Prune(key),
-                BackupEffect::Replica(msg(1, 1, clock.as_ref())),
-            ]))
-            .unwrap();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-        loop {
-            let s = backup.stats();
-            if s.replicas_received == 2 && s.prunes_applied == 1 {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "batch not applied: {s:?}"
-            );
-            std::thread::yield_now();
-        }
+        backup.apply_backup(vec![
+            BackupEffect::Replica(m),
+            BackupEffect::Prune(key),
+            BackupEffect::Replica(msg(1, 1, clock.as_ref())),
+        ]);
+        let s = backup.stats();
+        assert_eq!((s.replicas_received, s.prunes_applied), (2, 1), "{s:?}");
         backup.shutdown();
         bt.join();
     }
@@ -1321,10 +1223,7 @@ mod tests {
 
         let ingest = |n: u64, from: u64| {
             for seq in from..from + n {
-                broker
-                    .sender()
-                    .send(BrokerMsg::Publish(msg(1, seq, clock.as_ref())))
-                    .unwrap();
+                broker.publish(msg(1, seq, clock.as_ref()));
             }
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
             loop {
@@ -1363,31 +1262,38 @@ mod tests {
     }
 
     #[test]
-    fn poll_answered_while_alive_unanswered_after_kill() {
+    fn calls_after_kill_create_no_job_and_move_no_counter() {
         let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
-        let (broker, threads) = RtBroker::spawn(
-            BrokerId(0),
-            BrokerRole::Primary,
-            BrokerConfig::frame(),
-            1,
-            clock,
-        );
-        let (ack_tx, ack_rx) = unbounded();
-        broker
-            .sender()
-            .send(BrokerMsg::Poll(ack_tx.clone()))
-            .unwrap();
-        ack_rx
-            .recv_timeout(std::time::Duration::from_secs(1))
-            .expect("live broker answers polls");
+        let spawn = |id, role| RtBroker::spawn(id, role, BrokerConfig::frame(), 1, clock.clone());
+        let (primary, pt) = spawn(BrokerId(0), BrokerRole::Primary);
+        let (backup, bt) = spawn(BrokerId(1), BrokerRole::Backup);
+        for b in [&primary, &backup] {
+            b.register_topic(admitted(2, 1), vec![SubscriberId(1)])
+                .unwrap();
+        }
+        // Alive: each call lands.
+        primary.publish(msg(1, 0, clock.as_ref()));
+        backup.apply_backup([BackupEffect::Replica(msg(1, 0, clock.as_ref()))]);
+        assert_eq!(primary.stats().messages_in, 1);
+        assert_eq!(backup.stats().replicas_received, 1);
 
-        broker.kill();
-        assert!(!broker.is_alive());
-        // Polls after the crash go unanswered.
-        let _ = broker.sender().send(BrokerMsg::Poll(ack_tx));
-        assert!(ack_rx
-            .recv_timeout(std::time::Duration::from_millis(200))
-            .is_err());
-        threads.join();
+        primary.kill();
+        backup.kill();
+        assert!(!primary.is_alive() && !backup.is_alive());
+        // Workers may still be finishing the job above when the kill lands;
+        // let them stop before taking the baseline.
+        pt.join();
+        bt.join();
+        let (p_before, b_before) = (primary.stats(), backup.stats());
+        let p_queue = primary.queue_len();
+        primary.publish(msg(1, 1, clock.as_ref()));
+        primary.resend(msg(1, 2, clock.as_ref()));
+        let m = msg(1, 1, clock.as_ref());
+        let key = m.key();
+        backup.apply_backup(vec![BackupEffect::Replica(m), BackupEffect::Prune(key)]);
+        assert_eq!(primary.queue_len(), p_queue, "no job created after kill");
+        assert_eq!(primary.stats(), p_before);
+        assert_eq!(backup.stats(), b_before);
+        assert_eq!(backup.queue_len(), 0);
     }
 }

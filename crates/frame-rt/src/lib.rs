@@ -3,10 +3,11 @@
 //! The discrete-event simulator (`frame-sim`) reproduces the paper's
 //! evaluation with modeled CPU time; this crate runs the *same* sans-IO
 //! broker core on real threads, mirroring the paper's implementation
-//! structure (§V): a Message Proxy thread per broker plus a pool of
-//! delivery worker threads blocking on the EDF Job Queue, with in-process
-//! channel transport, a polling failure detector, and live Primary→Backup
-//! fail-over.
+//! structure (§V): a pool of delivery worker threads blocking on the EDF
+//! Job Queue, with a polling failure detector and live Primary→Backup
+//! fail-over. The Message Proxy is not a thread: admission runs on the
+//! caller's thread — a reactor event loop ([`ReactorServer`]) for socket
+//! traffic, the publisher's own thread in-process ([`RtBroker::publish`]).
 //!
 //! # Quick start
 //!
@@ -37,14 +38,14 @@ pub mod system;
 pub mod tcp;
 
 pub use broker_rt::{
-    BackupEffect, BrokerMsg, Delivered, DeliveryNotify, RtBroker, RtBrokerThreads,
+    BackupEffect, BackupSink, Delivered, DeliveryNotify, RtBroker, RtBrokerThreads,
 };
 pub use fault::{BackupEffectKind, FaultHook, FrameFate, Hop, SharedFaultHook};
 pub use reactor::{ReactorConfig, ReactorServer};
 pub use system::{RtPublisher, RtSystem, RtSystemBuilder};
 pub use tcp::{
-    connect_backup_over_tcp, connect_backup_over_tcp_with_hook, read_frame, write_frame,
-    write_frame_into, Decoded, FrameDecoder, TcpBackupBridge, TcpPublisher, TcpSubscriber,
+    connect_backup_over_tcp, read_frame, write_frame, write_frame_into, Decoded, FrameDecoder,
+    TcpBackupBridge, TcpPublisher, TcpSubscriber,
 };
 // The wire format itself lives with the passive vocabulary types; re-export
 // the pieces transports and tools reach for alongside the runtime.

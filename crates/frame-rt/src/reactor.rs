@@ -22,14 +22,17 @@
 //!   Deliveries to a full queue are dropped and counted — a slow consumer
 //!   loses its own frames, never the loop.
 //!
-//! Decoded messages feed the broker's sharded admit path and fault hooks
-//! through its channel protocol ([`BrokerMsg`]); this module is the socket
-//! layer only.
+//! Decoded messages are admitted on the loop itself: publishes, re-sends
+//! and replica batches call [`RtBroker::publish`], [`RtBroker::resend`]
+//! and [`RtBroker::apply_backup`], which take one shard lock and the
+//! scheduler lock, so the loop *is* the broker's Message Proxy. While the
+//! broker is alive each loop iteration beats the proxy heartbeat, and a
+//! liveness `Poll` is acked at once; a dead broker's loops close every
+//! connection and stay silent.
 //! The control plane for deliberate operations (Promote, Stats, Trace)
 //! rides the same connections but is answered from queued responses, so a
 //! management round-trip never blocks a data loop either.
 
-use std::collections::VecDeque;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -37,14 +40,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, TryRecvError};
-use frame_telemetry::ReactorGauges;
+use crossbeam::channel::{unbounded, Receiver};
+use frame_telemetry::{HeartbeatKind, ReactorGauges};
 use frame_types::FrameError;
 use parking_lot::Mutex;
 use polling::{Event, Events, Poller};
 
-use crate::broker_rt::{BrokerMsg, Delivered, DeliveryNotify, RtBroker};
-use frame_types::wire::{EncodedFrame, FrameSink, FrameWriteQueue, WireMsg};
+use crate::broker_rt::{Delivered, DeliveryNotify, RtBroker};
+use frame_types::wire::{BackupEffect, EncodedFrame, FrameSink, FrameWriteQueue, WireMsg};
 
 use crate::tcp::{Decoded, FrameDecoder};
 
@@ -56,7 +59,9 @@ pub struct ReactorConfig {
     /// bottleneck).
     pub loops: usize,
     /// Max bytes read from one connection per wakeup before it is parked
-    /// back on the poller (fairness under fire-hose publishers).
+    /// back on the poller (fairness under fire-hose publishers). Also the
+    /// size of each loop's read buffer, so the default lets one `read`
+    /// take a whole 16 KiB camera frame plus its header.
     pub read_budget: usize,
     /// Max bytes queued for write per connection; delivery frames beyond
     /// this are dropped and counted (slow-consumer backpressure).
@@ -91,13 +96,9 @@ impl ReactorConfig {
 const LISTENER_KEY: usize = usize::MAX - 1;
 
 /// How long `wait` blocks with nothing ready: the safety net for a missed
-/// wake-up and the cadence at which pending poll-acks and stop flags are
-/// checked.
+/// wake-up and the cadence at which the stop flag is checked and the
+/// proxy heartbeat beats on an idle loop.
 const WAIT_TIMEOUT: Duration = Duration::from_millis(25);
-
-/// Read-chunk size; one loop-owned scratch buffer, reused across
-/// connections.
-const READ_CHUNK: usize = 16 * 1024;
 
 /// Wakeups between thread-CPU stamps: one `clock_gettime` per this many
 /// poller returns keeps the profiler off the per-event path while the
@@ -107,11 +108,6 @@ const CPU_STAMP_EVERY: u32 = 64;
 /// Connections accepted per listener event before re-arming, so a connect
 /// storm cannot monopolize loop 0.
 const ACCEPT_BATCH: usize = 512;
-
-/// How long a bridged liveness poll waits for the broker's ack before the
-/// reactor goes silent on it (a dead broker must look dead to the failure
-/// detector).
-const POLL_ACK_DEADLINE: Duration = Duration::from_millis(50);
 
 /// A readiness-driven TCP front end serving a broker's wire protocol from a
 /// fixed pool of event loops.
@@ -278,12 +274,6 @@ struct ConnTag {
     queued: AtomicBool,
 }
 
-struct PendingPoll {
-    token: u64,
-    rx: Receiver<()>,
-    expires_at: Instant,
-}
-
 /// Per-connection state owned by exactly one loop.
 struct Conn {
     stream: TcpStream,
@@ -298,8 +288,6 @@ struct Conn {
     wants_write: bool,
     /// Set once the connection subscribes.
     deliveries: Option<Receiver<Delivered>>,
-    /// Bridged liveness polls awaiting the broker's ack, oldest first.
-    pending_polls: VecDeque<PendingPoll>,
 }
 
 /// Everything one event loop needs; moved onto its thread.
@@ -321,9 +309,9 @@ fn run_loop(ctx: LoopCtx) {
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut events = Events::new();
-    let mut read_buf = vec![0u8; READ_CHUNK];
-    // Keys with in-flight liveness polls, checked each iteration.
-    let mut poll_waiters: Vec<usize> = Vec::new();
+    // One loop-owned read buffer, reused across connections (at least one
+    // byte: a zero-length read would look like EOF).
+    let mut read_buf = vec![0u8; ctx.config.read_budget.max(1)];
     // Round-robin cursor over `peers` (acceptor only).
     let mut next_loop = 0usize;
     let mut accept_backoff = LogBackoff::new();
@@ -351,16 +339,19 @@ fn run_loop(ctx: LoopCtx) {
         if ctx.stop.load(Ordering::Acquire) {
             break;
         }
-        if !ctx.broker.is_alive() {
+        if ctx.broker.is_alive() {
+            // This loop admits, so it is what the ingress-stall rule of
+            // the health watchdog must watch.
+            ctx.broker
+                .telemetry()
+                .heartbeat(HeartbeatKind::Proxy, ctx.broker.now());
+        } else if broker_was_alive {
             // Broker crashed (or was killed): every connection goes down
             // with it, so peers see the broker's death as EOF. The loop
             // stays up to drain accepts and wait for shutdown.
-            if broker_was_alive {
-                broker_was_alive = false;
-                for key in 0..conns.len() {
-                    close_conn(&mut conns, &mut free, &ctx.shared.poller, key);
-                }
-                poll_waiters.clear();
+            broker_was_alive = false;
+            for key in 0..conns.len() {
+                close_conn(&mut conns, &mut free, &ctx.shared.poller, key);
             }
         }
         let broker_dead = !broker_was_alive;
@@ -400,7 +391,7 @@ fn run_loop(ctx: LoopCtx) {
                 alive = flush(conn);
             }
             if alive && ev.readable {
-                alive = read_budgeted(conn, &ctx, &mut read_buf, &mut poll_waiters, ev.key);
+                alive = read_budgeted(conn, &ctx, &mut read_buf);
             }
             if alive {
                 alive = rearm(&ctx.shared.poller, conn);
@@ -430,34 +421,6 @@ fn run_loop(ctx: LoopCtx) {
             let alive = pump_deliveries(conn, &ctx) && rearm(&ctx.shared.poller, conn);
             if !alive {
                 close_conn(&mut conns, &mut free, &ctx.shared.poller, tag.key);
-            }
-        }
-
-        // Settle bridged liveness polls: ack what the broker answered,
-        // go silent on what it did not (dead-broker semantics).
-        if !poll_waiters.is_empty() {
-            let poller = &ctx.shared.poller;
-            let mut closed = Vec::new();
-            poll_waiters.retain(|&key| {
-                let Some(Some(conn)) = conns.get_mut(key) else {
-                    return false;
-                };
-                match settle_polls(conn) {
-                    Ok(()) => {
-                        if !(conn.out.is_empty() || flush(conn) && rearm(poller, conn)) {
-                            closed.push(key);
-                            return false;
-                        }
-                        !conn.pending_polls.is_empty()
-                    }
-                    Err(()) => {
-                        closed.push(key);
-                        false
-                    }
-                }
-            });
-            for key in closed {
-                close_conn(&mut conns, &mut free, &ctx.shared.poller, key);
             }
         }
 
@@ -552,7 +515,6 @@ fn register_conn(
         out: FrameWriteQueue::bounded(ctx.config.write_queue_cap),
         wants_write: false,
         deliveries: None,
-        pending_polls: VecDeque::new(),
     });
 }
 
@@ -620,13 +582,7 @@ fn pump_deliveries(conn: &mut Conn, ctx: &LoopCtx) -> bool {
 /// Reads up to the per-wakeup budget, feeding the incremental decoder.
 /// `false` = close (EOF, socket error, unrecoverable framing, protocol
 /// violation).
-fn read_budgeted(
-    conn: &mut Conn,
-    ctx: &LoopCtx,
-    buf: &mut [u8],
-    poll_waiters: &mut Vec<usize>,
-    key: usize,
-) -> bool {
+fn read_budgeted(conn: &mut Conn, ctx: &LoopCtx, buf: &mut [u8]) -> bool {
     let mut used = 0usize;
     loop {
         let got = conn.stream.read(buf);
@@ -639,7 +595,7 @@ fn read_budgeted(
             Err(_) => return false,
         };
         // The decoder steps out of `conn` so the sink closure may borrow
-        // the rest of the connection (write queue, poll bridge) freely.
+        // the rest of the connection (its write queue) freely.
         let mut decoder = std::mem::take(&mut conn.decoder);
         let mut fatal = false;
         let fed = decoder.feed(&buf[..n], &mut |decoded| {
@@ -648,7 +604,7 @@ fn read_budgeted(
             }
             match decoded {
                 Decoded::Frame(msg) => {
-                    if !handle_frame(conn, ctx, msg, poll_waiters, key) {
+                    if !handle_frame(conn, ctx, msg) {
                         fatal = true;
                     }
                 }
@@ -683,51 +639,21 @@ fn read_budgeted(
     }
 }
 
-/// Applies one decoded frame. `false` = close the connection.
-fn handle_frame(
-    conn: &mut Conn,
-    ctx: &LoopCtx,
-    msg: WireMsg,
-    poll_waiters: &mut Vec<usize>,
-    key: usize,
-) -> bool {
+/// Applies one decoded frame, admitting on this loop's thread. `false` =
+/// close the connection.
+fn handle_frame(conn: &mut Conn, ctx: &LoopCtx, msg: WireMsg) -> bool {
     match msg {
-        WireMsg::Publish(m) => {
-            let _ = ctx.broker.sender().send(BrokerMsg::Publish(m));
-            true
-        }
-        WireMsg::Resend(m) => {
-            let _ = ctx.broker.sender().send(BrokerMsg::Resend(m));
-            true
-        }
-        WireMsg::Replica(m) => {
-            let _ = ctx.broker.sender().send(BrokerMsg::Replica(m));
-            true
-        }
-        WireMsg::Prune(k) => {
-            let _ = ctx.broker.sender().send(BrokerMsg::Prune(k));
-            true
-        }
-        WireMsg::ReplicaBatch(batch) => {
-            let _ = ctx.broker.sender().send(BrokerMsg::ReplicaBatch(batch));
-            true
-        }
+        WireMsg::Publish(m) => ctx.broker.publish(m),
+        WireMsg::Resend(m) => ctx.broker.resend(m),
+        WireMsg::Replica(m) => ctx.broker.apply_backup([BackupEffect::Replica(m)]),
+        WireMsg::Prune(k) => ctx.broker.apply_backup([BackupEffect::Prune(k)]),
+        WireMsg::ReplicaBatch(batch) => ctx.broker.apply_backup(batch),
         WireMsg::Poll(token) => {
-            // Bridge to the in-process poll protocol without blocking the
-            // loop: stash the ack channel; `settle_polls` answers when
-            // the broker does and goes silent past the deadline, so a
-            // dead broker looks dead to the failure detector.
-            let (ack_tx, ack_rx) = unbounded();
-            let _ = ctx.broker.sender().send(BrokerMsg::Poll(ack_tx));
-            conn.pending_polls.push_back(PendingPoll {
-                token,
-                rx: ack_rx,
-                expires_at: Instant::now() + POLL_ACK_DEADLINE,
-            });
-            if !poll_waiters.contains(&key) {
-                poll_waiters.push(key);
+            // Answered at once while the broker lives; a dead broker stays
+            // silent, so the failure detector's timeout fires.
+            if ctx.broker.is_alive() {
+                return enqueue_response(conn, &WireMsg::PollAck(token));
             }
-            true
         }
         WireMsg::Subscribe(id) => {
             let (tx, rx) = unbounded();
@@ -737,19 +663,18 @@ fn handle_frame(
                 delivery_notify(&ctx.shared, &conn.tag),
             );
             conn.deliveries = Some(rx);
-            true
         }
         WireMsg::Promote => {
             let created = ctx.broker.promote().map(|n| n as u64).unwrap_or(0);
-            enqueue_response(conn, &WireMsg::Promoted(created))
+            return enqueue_response(conn, &WireMsg::Promoted(created));
         }
         WireMsg::Stats => {
             let json = frame_telemetry::to_json(&ctx.broker.telemetry().snapshot());
-            enqueue_response(conn, &WireMsg::StatsJson(json))
+            return enqueue_response(conn, &WireMsg::StatsJson(json));
         }
         WireMsg::Trace => {
             let json = frame_telemetry::flight_to_json(&ctx.broker.telemetry().flight_snapshot());
-            enqueue_response(conn, &WireMsg::TraceJson(json))
+            return enqueue_response(conn, &WireMsg::TraceJson(json));
         }
         WireMsg::PollAck(_)
         | WireMsg::Deliver(_)
@@ -758,9 +683,10 @@ fn handle_frame(
         | WireMsg::TraceJson(_) => {
             // Server-to-client frames arriving at the server: protocol
             // violation; drop the connection.
-            false
+            return false;
         }
     }
+    true
 }
 
 /// Queues a control response (unbounded by the delivery cap: the client
@@ -773,36 +699,6 @@ fn enqueue_response(conn: &mut Conn, msg: &WireMsg) -> bool {
         }
         Err(_) => false,
     }
-}
-
-/// Answers bridged polls the broker acked; expires the rest silently.
-/// `Err(())` = close (response serialization failed).
-fn settle_polls(conn: &mut Conn) -> Result<(), ()> {
-    while let Some(front) = conn.pending_polls.front() {
-        match front.rx.try_recv() {
-            Ok(()) => {
-                let token = front.token;
-                conn.pending_polls.pop_front();
-                if !enqueue_response(conn, &WireMsg::PollAck(token)) {
-                    return Err(());
-                }
-            }
-            Err(TryRecvError::Empty) => {
-                if Instant::now() >= front.expires_at {
-                    // Broker never answered in time: silence, so the
-                    // detector's timeout fires as for a dead broker.
-                    conn.pending_polls.pop_front();
-                    continue;
-                }
-                break;
-            }
-            Err(TryRecvError::Disconnected) => {
-                // Proxy thread gone (broker dead): silent.
-                conn.pending_polls.pop_front();
-            }
-        }
-    }
-    Ok(())
 }
 
 /// The wake-up a worker invokes after pushing deliveries for this

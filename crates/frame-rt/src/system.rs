@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver};
 use frame_clock::{Clock, MonotonicClock};
 use frame_core::{
     admit, BrokerConfig, BrokerRole, OverloadConfig, PollingDetector, PrimaryStatus, Publisher,
@@ -21,7 +21,7 @@ use frame_types::{
 };
 use parking_lot::Mutex;
 
-use crate::broker_rt::{BrokerMsg, Delivered, RtBroker, RtBrokerThreads};
+use crate::broker_rt::{Delivered, RtBroker, RtBrokerThreads};
 use crate::fault::{fate_of, FaultHook, Hop, SharedFaultHook};
 use crate::reactor::ReactorServer;
 
@@ -29,8 +29,8 @@ use crate::reactor::ReactorServer;
 /// pair.
 pub struct RtPublisher {
     core: Mutex<Publisher>,
-    primary: Sender<BrokerMsg>,
-    backup: Sender<BrokerMsg>,
+    primary: RtBroker,
+    backup: RtBroker,
     clock: Arc<dyn Clock>,
     hook: SharedFaultHook,
 }
@@ -39,19 +39,22 @@ impl RtPublisher {
     /// Sends `msg` through the publisher→Primary fault hook: dropped
     /// frames vanish (the message stays retained, exactly like a lost
     /// packet), delayed frames leave from a timer thread, duplicates are
-    /// repeated, truncation cuts the payload.
-    fn send_through_hook(&self, target: &Sender<BrokerMsg>, mut message: Message, resend: bool) {
+    /// repeated, truncation cuts the payload. Admission runs on the
+    /// sending thread.
+    fn send_through_hook(&self, target: &RtBroker, mut message: Message, resend: bool) {
+        let send = move |target: &RtBroker, m: Message| {
+            if resend {
+                target.resend(m);
+            } else {
+                target.publish(m);
+            }
+        };
         let fate = fate_of(
             &self.hook,
             Hop::PublisherToPrimary,
             message.topic,
             message.seq,
         );
-        if fate.is_pass() {
-            // A send to a dead broker is a network drop, not an error.
-            let _ = target.send(wrap(message, resend));
-            return;
-        }
         if fate.copies == 0 {
             return;
         }
@@ -60,26 +63,19 @@ impl RtPublisher {
         }
         match fate.delay {
             None => {
-                for _ in 0..fate.copies {
-                    let _ = target.send(wrap(message.clone(), resend));
+                for _ in 1..fate.copies {
+                    send(target, message.clone());
                 }
+                send(target, message);
             }
             Some(delay) => {
                 let target = target.clone();
                 std::thread::spawn(move || {
                     std::thread::sleep(delay);
                     for _ in 0..fate.copies {
-                        let _ = target.send(wrap(message.clone(), resend));
+                        send(&target, message.clone());
                     }
                 });
-            }
-        }
-
-        fn wrap(m: Message, resend: bool) -> BrokerMsg {
-            if resend {
-                BrokerMsg::Resend(m)
-            } else {
-                BrokerMsg::Publish(m)
             }
         }
     }
@@ -369,7 +365,8 @@ impl RtSystemBuilder {
             telemetry.clone(),
             hook.clone(),
         );
-        primary.connect_backup(backup.sender());
+        let sink = backup.clone();
+        primary.connect_backup(Arc::new(move |effects| sink.apply_backup(effects)));
         let flight_sink = match flight_dump {
             None => None,
             Some(dir) => {
@@ -549,8 +546,8 @@ impl RtSystem {
         }
         let p = Arc::new(RtPublisher {
             core: Mutex::new(core),
-            primary: self.primary.sender(),
-            backup: self.backup.sender(),
+            primary: self.primary.clone(),
+            backup: self.backup.clone(),
             clock: self.clock.clone(),
             hook: self.hook.clone(),
         });
@@ -572,7 +569,7 @@ impl RtSystem {
     /// without an acknowledgement, then promotes the Backup and triggers
     /// every publisher's retention re-send.
     pub fn start_failover_coordinator(&mut self, interval: Duration, timeout: Duration) {
-        let primary_tx = self.primary.sender();
+        let primary = self.primary.clone();
         let backup = self.backup.clone();
         let publishers = self.publishers.clone();
         let clock = self.clock.clone();
@@ -592,12 +589,9 @@ impl RtSystem {
                             std::thread::sleep(stall);
                         }
                     }
-                    let (ack_tx, ack_rx) = unbounded();
                     telemetry.heartbeat(HeartbeatKind::Detector, clock.now());
                     detector.on_poll_sent(clock.now());
-                    if primary_tx.send(BrokerMsg::Poll(ack_tx)).is_ok()
-                        && ack_rx.recv_timeout(timeout.to_std()).is_ok()
-                    {
+                    if primary.is_alive() {
                         let acked = clock.now();
                         telemetry.heartbeat(HeartbeatKind::PrimaryAck, acked);
                         detector.on_ack(acked);
@@ -627,14 +621,12 @@ impl RtSystem {
         self.detector = Some(handle);
     }
 
-    /// Sends one liveness poll to the Primary and waits up to `timeout`
-    /// (wall time) for the acknowledgement. This is the failure detector's
-    /// probe as a synchronous call, for harnesses that drive detection on
-    /// a logical clock instead of the wall-clock coordinator thread.
-    pub fn poll_primary(&self, timeout: Duration) -> bool {
-        let (ack_tx, ack_rx) = unbounded();
-        self.primary.sender().send(BrokerMsg::Poll(ack_tx)).is_ok()
-            && ack_rx.recv_timeout(timeout.to_std()).is_ok()
+    /// One liveness poll of the Primary: `true` while it is alive. This is
+    /// the failure detector's probe as a synchronous call, for harnesses
+    /// that drive detection on a logical clock instead of the wall-clock
+    /// coordinator thread.
+    pub fn poll_primary(&self) -> bool {
+        self.primary.is_alive()
     }
 
     /// Injects a Primary crash (the paper's SIGKILL).

@@ -1,6 +1,6 @@
 //! Loopback/LAN TCP clients and the Primary→Backup bridge.
 //!
-//! The in-process transport of [`crate::broker_rt`] uses channels; this
+//! In-process, publishers and the Backup call [`RtBroker`] directly; this
 //! module carries the same protocol over TCP so publishers, subscribers
 //! and the Backup peer can live in other processes or hosts — the shape of
 //! the paper's seven-host testbed. The broker side of every connection is
@@ -24,8 +24,7 @@ use frame_types::wire::{
 };
 use frame_types::{FrameError, Message, SubscriberId};
 
-use crate::broker_rt::{BrokerMsg, RtBroker};
-use crate::fault::{fate_of, Hop, SharedFaultHook};
+use crate::broker_rt::RtBroker;
 
 pub use frame_types::wire::{WireMsg, MAX_FRAME_LEN};
 
@@ -244,10 +243,11 @@ impl FrameDecoder {
 /// to a Backup broker served by a [`crate::reactor::ReactorServer`] at
 /// `addr`.
 ///
-/// Spawns a forwarder thread and wires it as the Primary's backup peer;
-/// the returned handle joins the forwarder on drop. If the TCP connection
-/// fails, backup traffic is dropped (the network-partition behaviour of
-/// the model — the Primary does not block on its Backup).
+/// Spawns a forwarder thread and wires a send into its channel as the
+/// Primary's [`crate::BackupSink`]; the returned handle joins the
+/// forwarder. If the TCP connection fails, backup traffic is dropped (the
+/// network-partition behaviour of the model — the Primary does not block
+/// on its Backup).
 ///
 /// # Errors
 ///
@@ -256,28 +256,12 @@ pub fn connect_backup_over_tcp(
     primary: &RtBroker,
     addr: SocketAddr,
 ) -> Result<TcpBackupBridge, FrameError> {
-    connect_backup_over_tcp_with_hook(primary, addr, None)
-}
-
-/// [`connect_backup_over_tcp`] with a fault hook on the Primary→Backup
-/// hop: each effect crosses the hook before it is framed. Dropped effects
-/// never reach the socket, truncated replicas leave cut short, duplicates
-/// are repeated in emission order, and a delay stalls the bridge thread
-/// itself — head-of-line blocking, which is what added wire latency looks
-/// like on an ordered TCP stream.
-///
-/// # Errors
-///
-/// Returns [`FrameError::Net`] on the initial connection error.
-pub fn connect_backup_over_tcp_with_hook(
-    primary: &RtBroker,
-    addr: SocketAddr,
-    hook: SharedFaultHook,
-) -> Result<TcpBackupBridge, FrameError> {
     let stream = TcpStream::connect(addr).map_err(FrameError::net)?;
     stream.set_nodelay(true).ok();
-    let (tx, rx) = unbounded::<BrokerMsg>();
-    primary.connect_backup(tx);
+    let (tx, rx) = unbounded::<Vec<BackupEffect>>();
+    primary.connect_backup(Arc::new(move |effects| {
+        let _ = tx.send(effects);
+    }));
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = stop.clone();
     let thread = std::thread::Builder::new()
@@ -285,7 +269,7 @@ pub fn connect_backup_over_tcp_with_hook(
         .spawn(move || {
             frame_telemetry::register_thread_role(frame_telemetry::RoleKind::BackupBridge, 0);
             let codec = rent_codec();
-            let codec = backup_bridge_loop(stream, rx, stop2, hook, codec);
+            let codec = backup_bridge_loop(stream, rx, stop2, codec);
             return_codec(codec);
         })
         .map_err(FrameError::net)?;
@@ -311,22 +295,21 @@ const BRIDGE_FRAMES_PER_FLUSH: usize = 8;
 /// for pooling.
 fn backup_bridge_loop(
     stream: TcpStream,
-    rx: Receiver<BrokerMsg>,
+    rx: Receiver<Vec<BackupEffect>>,
     stop: Arc<AtomicBool>,
-    hook: SharedFaultHook,
     mut codec: WireCodec,
 ) -> WireCodec {
     let mut writer = stream;
     let mut out = FrameWriteQueue::unbounded();
     let mut batch: Vec<BackupEffect> = Vec::new();
-    let mut pending: Option<BrokerMsg> = None;
+    let mut pending: Option<Vec<BackupEffect>> = None;
     let mut iters = 0u32;
     loop {
         iters = iters.wrapping_add(1);
         if iters.is_multiple_of(64) {
             frame_telemetry::stamp_thread_cpu();
         }
-        let msg = match pending.take() {
+        let effects = match pending.take() {
             Some(m) => m,
             None => match rx.recv_timeout(std::time::Duration::from_millis(100)) {
                 Ok(m) => m,
@@ -340,15 +323,12 @@ fn backup_bridge_loop(
             },
         };
         batch.clear();
-        collect_backup_effects(msg, &mut batch);
+        batch.extend(effects);
         while batch.len() < BACKUP_BATCH_MAX {
             match rx.try_recv() {
-                Ok(m) => collect_backup_effects(m, &mut batch),
+                Ok(effects) => batch.extend(effects),
                 Err(_) => break,
             }
-        }
-        if hook.is_some() {
-            apply_bridge_fates(&hook, &mut batch);
         }
         let frame = match batch.len() {
             0 => None,
@@ -380,51 +360,6 @@ fn backup_bridge_loop(
             Ok(syscalls) => frame_telemetry::record_write_syscalls(syscalls),
             Err(_) => return codec, // partition: stop forwarding
         }
-    }
-}
-
-/// Rewrites a staged effect batch through the Primary→Backup fault hook.
-///
-/// Runs on the bridge thread, in emission order; a delay sleeps the
-/// bridge itself (TCP is an ordered stream, so added latency delays
-/// everything behind it too — unlike the channel transport, where a
-/// delayed frame can be overtaken).
-fn apply_bridge_fates(hook: &SharedFaultHook, batch: &mut Vec<BackupEffect>) {
-    let staged = std::mem::take(batch);
-    for effect in staged {
-        let (topic, seq) = match &effect {
-            BackupEffect::Replica(m) => (m.topic, m.seq),
-            BackupEffect::Prune(k) => (k.topic, k.seq),
-        };
-        let fate = fate_of(hook, Hop::PrimaryToBackup, topic, seq);
-        if fate.copies == 0 {
-            continue;
-        }
-        if let Some(d) = fate.delay {
-            std::thread::sleep(d);
-        }
-        let effect = match (effect, fate.truncate_to) {
-            (BackupEffect::Replica(mut m), Some(n)) => {
-                m.payload.truncate(n);
-                BackupEffect::Replica(m)
-            }
-            (e, _) => e,
-        };
-        for _ in 1..fate.copies {
-            batch.push(effect.clone());
-        }
-        batch.push(effect);
-    }
-}
-
-/// Flattens one backup-bound channel message into `batch`, in order.
-/// Non-backup variants never reach the backup channel and are ignored.
-fn collect_backup_effects(msg: BrokerMsg, batch: &mut Vec<BackupEffect>) {
-    match msg {
-        BrokerMsg::Replica(m) => batch.push(BackupEffect::Replica(m)),
-        BrokerMsg::Prune(k) => batch.push(BackupEffect::Prune(k)),
-        BrokerMsg::ReplicaBatch(effects) => batch.extend(effects),
-        _ => {}
     }
 }
 

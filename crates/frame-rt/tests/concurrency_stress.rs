@@ -19,7 +19,7 @@ use std::time::{Duration as StdDuration, Instant};
 use crossbeam::channel::unbounded;
 use frame_clock::{Clock, MonotonicClock};
 use frame_core::{admit, BrokerConfig, BrokerRole, DeliveryTracker};
-use frame_rt::{BackupEffect, BrokerMsg, RtBroker, RtSystem};
+use frame_rt::{BackupEffect, RtBroker, RtSystem};
 use frame_types::{
     BrokerId, Duration, Message, NetworkParams, PublisherId, SeqNo, SubscriberId, Time, TopicId,
     TopicSpec,
@@ -59,10 +59,12 @@ fn sharded_broker_exactly_once_and_table3_order_under_contention() {
             )
             .unwrap();
     }
-    // The monitor plays the Backup: it sees the exact channel order the
-    // workers emitted.
-    let (backup_tx, backup_rx) = unbounded::<BrokerMsg>();
-    primary.connect_backup(backup_tx);
+    // The monitor plays the Backup: the sink runs under each topic's shard
+    // lock, so the channel holds the exact order the workers emitted.
+    let (backup_tx, backup_rx) = unbounded::<Vec<BackupEffect>>();
+    primary.connect_backup(Arc::new(move |effects| {
+        let _ = backup_tx.send(effects);
+    }));
     let mut delivery_rx = Vec::new();
     for s in 0..SUBSCRIBER_CHANNELS {
         let (tx, rx) = unbounded();
@@ -73,16 +75,13 @@ fn sharded_broker_exactly_once_and_table3_order_under_contention() {
     let total = u64::from(TOPICS) * MSGS_PER_TOPIC;
     for seq in 0..MSGS_PER_TOPIC {
         for t in 1..=TOPICS {
-            primary
-                .sender()
-                .send(BrokerMsg::Publish(Message::new(
-                    TopicId(t),
-                    PublisherId(0),
-                    SeqNo(seq),
-                    clock.now(),
-                    payload(),
-                )))
-                .unwrap();
+            primary.publish(Message::new(
+                TopicId(t),
+                PublisherId(0),
+                SeqNo(seq),
+                clock.now(),
+                payload(),
+            ));
         }
     }
 
@@ -138,16 +137,9 @@ fn sharded_broker_exactly_once_and_table3_order_under_contention() {
                 *prunes += 1;
             }
         };
-    while let Ok(msg) = backup_rx.recv_timeout(StdDuration::from_millis(300)) {
-        match msg {
-            BrokerMsg::Replica(m) => apply(BackupEffect::Replica(m), &mut replicated, &mut prunes),
-            BrokerMsg::Prune(k) => apply(BackupEffect::Prune(k), &mut replicated, &mut prunes),
-            BrokerMsg::ReplicaBatch(batch) => {
-                for e in batch {
-                    apply(e, &mut replicated, &mut prunes);
-                }
-            }
-            _ => {}
+    while let Ok(batch) = backup_rx.recv_timeout(StdDuration::from_millis(300)) {
+        for e in batch {
+            apply(e, &mut replicated, &mut prunes);
         }
     }
     assert!(

@@ -315,6 +315,39 @@ fn reactor_polls_ack_then_go_silent_after_kill() {
 }
 
 #[test]
+fn served_broker_beats_the_proxy_heartbeat_until_killed() {
+    let (server, broker, threads, telemetry) = reactor_broker();
+    let beats = || {
+        telemetry
+            .snapshot()
+            .heartbeat(frame_telemetry::HeartbeatKind::Proxy)
+            .map_or(0, |h| h.beats)
+    };
+    // Idle loops still iterate (poller timeout), so the count climbs with
+    // no traffic at all.
+    let deadline = std::time::Instant::now() + StdDuration::from_secs(2);
+    let first = beats();
+    while beats() <= first {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "a live broker's reactor loops beat the proxy heartbeat"
+        );
+        std::thread::sleep(StdDuration::from_millis(5));
+    }
+
+    broker.kill();
+    // Let any iteration that saw the broker alive finish, then the count
+    // must stand still across several poller timeouts.
+    std::thread::sleep(StdDuration::from_millis(100));
+    let after_kill = beats();
+    std::thread::sleep(StdDuration::from_millis(200));
+    assert_eq!(beats(), after_kill, "a dead broker's loops stop beating");
+
+    server.shutdown();
+    threads.join();
+}
+
+#[test]
 fn reactor_survives_malformed_frames_and_closes_on_protocol_violation() {
     let (server, broker, threads, _telemetry) = reactor_broker();
     let addr = server.local_addr();

@@ -85,15 +85,22 @@ fn failover_traces_promote_then_recovery_dispatches() {
     }
 
     sys.crash_primary();
-    // Wait for the coordinator to detect the crash and promote the Backup.
+    // Wait for the coordinator to detect the crash, promote the Backup and
+    // time the promotion. The role flips inside `promote()`, before the
+    // coordinator records the stage, so the role alone is not enough.
     let deadline = std::time::Instant::now() + StdDuration::from_secs(3);
-    while sys.backup.role() != BrokerRole::Primary {
+    while sys
+        .snapshot()
+        .stage(Stage::Promotion)
+        .is_none_or(|h| h.is_empty())
+    {
         assert!(
             std::time::Instant::now() < deadline,
             "fail-over never fired"
         );
         std::thread::sleep(StdDuration::from_millis(5));
     }
+    assert_eq!(sys.backup.role(), BrokerRole::Primary);
 
     let events = sys.telemetry().drain_trace();
     let promote_at = events

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use frame_clock::MonotonicClock;
 use frame_core::{admit, BrokerConfig, BrokerRole};
-use frame_rt::{write_frame, BrokerMsg, ReactorServer, RtBroker, TcpPublisher, WireMsg};
+use frame_rt::{write_frame, BackupEffect, ReactorServer, RtBroker, TcpPublisher, WireMsg};
 use frame_types::wire::encoded_frame_count;
 use frame_types::{
     BrokerId, Message, NetworkParams, PublisherId, SeqNo, SubscriberId, TopicId, TopicSpec,
@@ -51,8 +51,10 @@ fn fanout_of_64_shares_one_encode_and_delivers_identical_bytes() {
         .unwrap();
     // In-process backup monitor: emission order on this channel is the
     // Primary's Table-3 order.
-    let (backup_tx, backup_rx) = crossbeam::channel::unbounded();
-    broker.connect_backup(backup_tx);
+    let (backup_tx, backup_rx) = crossbeam::channel::unbounded::<Vec<BackupEffect>>();
+    broker.connect_backup(Arc::new(move |effects| {
+        let _ = backup_tx.send(effects);
+    }));
 
     let server = ReactorServer::bind("127.0.0.1:0", broker.clone()).unwrap();
     let addr = server.local_addr();
@@ -124,32 +126,27 @@ fn fanout_of_64_shares_one_encode_and_delivers_identical_bytes() {
     // Table-3 order at the backup monitor: a prune must never precede the
     // replica it discards (replication may be legitimately cancelled by a
     // fast dispatch, in which case neither appears).
-    let mut saw_replica = false;
+    let (mut saw_replica, mut saw_prune) = (false, false);
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-    while std::time::Instant::now() < deadline {
+    while !saw_prune && std::time::Instant::now() < deadline {
         match backup_rx.try_recv() {
-            Ok(BrokerMsg::Replica(m)) => {
-                assert_eq!(m.seq, SeqNo(0));
-                saw_replica = true;
-            }
-            Ok(BrokerMsg::Prune(k)) => {
-                assert!(
-                    saw_replica,
-                    "prune for {k:?} overtook its replica (Table-3 order violation)"
-                );
-                break;
-            }
-            Ok(BrokerMsg::ReplicaBatch(effects)) => {
+            Ok(effects) => {
                 for e in effects {
                     match e {
-                        frame_rt::BackupEffect::Replica(_) => saw_replica = true,
-                        frame_rt::BackupEffect::Prune(_) => {
-                            assert!(saw_replica, "prune overtook its replica in batch");
+                        BackupEffect::Replica(m) => {
+                            assert_eq!(m.seq, SeqNo(0));
+                            saw_replica = true;
+                        }
+                        BackupEffect::Prune(k) => {
+                            assert!(
+                                saw_replica,
+                                "prune for {k:?} overtook its replica (Table-3 order violation)"
+                            );
+                            saw_prune = true;
                         }
                     }
                 }
             }
-            Ok(_) => {}
             Err(_) => std::thread::sleep(std::time::Duration::from_millis(10)),
         }
     }

@@ -21,7 +21,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod capacity;
-pub mod histogram;
 pub mod metrics;
 pub mod multi_edge;
 pub mod params;
@@ -29,7 +28,6 @@ pub mod system;
 pub mod workload;
 
 pub use capacity::{max_sustainable_topics, predict, CapacityPrediction};
-pub use histogram::LatencyHistogram;
 pub use metrics::{mean_ci95, CpuUsage, ModuleUsage, RunMetrics, TopicMetrics};
 pub use multi_edge::{cloud_ingest_scaling, max_edges_within_budget, CloudIngestReport};
 pub use params::{ConfigName, CpuAllocation, ServiceParams, SimSchedule};

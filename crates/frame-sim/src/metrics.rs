@@ -5,7 +5,7 @@ use frame_core::BrokerStats;
 use frame_types::{Duration, Time};
 use serde::{Deserialize, Serialize};
 
-use crate::histogram::LatencyHistogram;
+use frame_telemetry::LatencyHistogram;
 
 /// Per-topic delivery record over the measurement window.
 ///

@@ -21,10 +21,10 @@ use serde::{Deserialize, Serialize};
 
 use frame_types::Duration;
 
-use crate::histogram::LatencyHistogram;
 use crate::params::ConfigName;
 use crate::system::{run, SimConfig};
 use crate::workload::Workload;
+use frame_telemetry::LatencyHistogram;
 
 /// Result of one multi-edge ingest evaluation.
 #[derive(Clone, Debug, Serialize, Deserialize)]

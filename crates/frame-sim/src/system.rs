@@ -25,10 +25,10 @@ use frame_types::{
     BrokerId, Duration, Message, MessageKey, NetworkParams, PublisherId, Time, TopicId,
 };
 
-use crate::histogram::LatencyHistogram;
 use crate::metrics::{CpuUsage, RunMetrics, TopicMetrics};
 use crate::params::{ConfigName, CpuAllocation, ServiceParams, SimSchedule};
 use crate::workload::Workload;
+use frame_telemetry::LatencyHistogram;
 
 /// Which broker the injected crash kills.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

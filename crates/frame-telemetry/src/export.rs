@@ -450,30 +450,6 @@ pub fn render_prometheus(snapshot: &TelemetrySnapshot) -> String {
                 q.high_watermark,
             );
         }
-        w.family(
-            "frame_ingress_backlog",
-            "gauge",
-            "Messages waiting in a broker's proxy ingress channel.",
-        );
-        for q in &snapshot.queues {
-            w.sample(
-                "frame_ingress_backlog",
-                &[("broker", &q.broker.0.to_string())],
-                q.ingress_backlog,
-            );
-        }
-        w.family(
-            "frame_ingress_backlog_watermark",
-            "gauge",
-            "Deepest the ingress backlog has been.",
-        );
-        for q in &snapshot.queues {
-            w.sample(
-                "frame_ingress_backlog_watermark",
-                &[("broker", &q.broker.0.to_string())],
-                q.ingress_watermark,
-            );
-        }
     }
     if !snapshot.reactor_loops.is_empty() {
         w.family(
@@ -1058,7 +1034,6 @@ mod tests {
         );
         t.record_queue_depth(frame_types::BrokerId(0), 4);
         t.record_queue_depth(frame_types::BrokerId(0), 1);
-        t.record_ingress_backlog(frame_types::BrokerId(0), 2);
         let gauges = t.reactor_gauges(0);
         gauges.record_accept();
         gauges.record_loop_time(3_000_000, 22_000_000);
@@ -1183,7 +1158,6 @@ mod tests {
         // Last store wins: depth 1, watermark remembers the 4.
         assert!(text.contains("frame_queue_depth{broker=\"0\"} 1"));
         assert!(text.contains("frame_queue_high_watermark{broker=\"0\"} 4"));
-        assert!(text.contains("frame_ingress_backlog{broker=\"0\"} 2"));
     }
 
     #[test]

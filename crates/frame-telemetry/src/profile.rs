@@ -1,7 +1,7 @@
 //! Process-wide resource accounting attributed to thread roles.
 //!
 //! Every long-lived FRAME thread registers itself under a [`RoleKind`]
-//! (reactor loop N, delivery worker N, proxy, detector, backup bridge,
+//! (reactor loop N, delivery worker N, detector, backup bridge,
 //! observability, sampler, …) with [`register_thread_role`]. From then on
 //! three cost streams are attributed to that role:
 //!
@@ -35,12 +35,11 @@ use serde::{Deserialize, Serialize};
 /// The thread roles cost is attributed to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RoleKind {
-    /// A readiness-reactor event loop (`frame-reactor-{index}`).
+    /// A readiness-reactor event loop (`frame-reactor-{index}`); it also
+    /// admits what it decodes, so it carries the Message Proxy's cost.
     Reactor,
     /// A delivery worker (`frame-delivery-{index}`).
     Worker,
-    /// The ingress proxy thread.
-    Proxy,
     /// The failure-detector thread.
     Detector,
     /// The Primary→Backup replication bridge.
@@ -61,7 +60,6 @@ impl RoleKind {
         match self {
             RoleKind::Reactor => "reactor",
             RoleKind::Worker => "worker",
-            RoleKind::Proxy => "proxy",
             RoleKind::Detector => "detector",
             RoleKind::BackupBridge => "backup-bridge",
             RoleKind::Obs => "obs",
@@ -81,7 +79,7 @@ impl RoleKind {
     pub fn hot_path(self) -> bool {
         matches!(
             self,
-            RoleKind::Reactor | RoleKind::Worker | RoleKind::Proxy | RoleKind::BackupBridge
+            RoleKind::Reactor | RoleKind::Worker | RoleKind::BackupBridge
         )
     }
 
@@ -89,13 +87,12 @@ impl RoleKind {
         match self {
             RoleKind::Reactor => 1,
             RoleKind::Worker => 2,
-            RoleKind::Proxy => 3,
-            RoleKind::Detector => 4,
-            RoleKind::BackupBridge => 5,
-            RoleKind::Obs => 6,
-            RoleKind::Sampler => 7,
-            RoleKind::FlightSink => 8,
-            RoleKind::Other => 9,
+            RoleKind::Detector => 3,
+            RoleKind::BackupBridge => 4,
+            RoleKind::Obs => 5,
+            RoleKind::Sampler => 6,
+            RoleKind::FlightSink => 7,
+            RoleKind::Other => 8,
         }
     }
 
@@ -103,13 +100,12 @@ impl RoleKind {
         Some(match code {
             1 => RoleKind::Reactor,
             2 => RoleKind::Worker,
-            3 => RoleKind::Proxy,
-            4 => RoleKind::Detector,
-            5 => RoleKind::BackupBridge,
-            6 => RoleKind::Obs,
-            7 => RoleKind::Sampler,
-            8 => RoleKind::FlightSink,
-            9 => RoleKind::Other,
+            3 => RoleKind::Detector,
+            4 => RoleKind::BackupBridge,
+            5 => RoleKind::Obs,
+            6 => RoleKind::Sampler,
+            7 => RoleKind::FlightSink,
+            8 => RoleKind::Other,
             _ => return None,
         })
     }
@@ -367,7 +363,7 @@ pub fn snapshot_pool() -> PoolProfileSnapshot {
 /// start; diff two snapshots to scope a measurement.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct RoleProfileSnapshot {
-    /// Display name: `reactor-0`, `worker-3`, `proxy`, … or
+    /// Display name: `reactor-0`, `worker-3`, `detector`, … or
     /// `unattributed` for slot 0.
     pub role: String,
     /// Heap allocations charged to this role.
@@ -530,7 +526,7 @@ mod tests {
         assert!(roles.iter().any(|r| r.role == "other-40"));
         // Indexed kinds carry their index; singletons at index 0 don't.
         assert_eq!(RoleKind::Worker.name(), "worker");
-        assert_eq!(RoleKind::Proxy.name(), "proxy");
+        assert_eq!(RoleKind::Detector.name(), "detector");
         // Reset this test thread to unattributed for other tests in the
         // same harness thread pool.
         CURRENT_SLOT.with(|s| s.set(0));
@@ -633,9 +629,15 @@ mod tests {
             serde_json::from_str(&json).expect("roles deserialize");
         assert_eq!(roles, back);
         // Two immediate snapshots enumerate the same roles in the same
-        // (kind-major, deterministic) order.
-        let again: Vec<String> = snapshot_roles().into_iter().map(|r| r.role).collect();
+        // (kind-major, deterministic) order. Sibling tests may register a
+        // role in between, and roles are never unregistered, so compare
+        // the second snapshot restricted to the first one's roles.
         let first: Vec<String> = roles.into_iter().map(|r| r.role).collect();
+        let again: Vec<String> = snapshot_roles()
+            .into_iter()
+            .map(|r| r.role)
+            .filter(|role| first.contains(role))
+            .collect();
         assert_eq!(first, again);
     }
 }

@@ -32,7 +32,9 @@ const NO_LOSS_BOUND: u64 = u64::MAX;
 /// thread whose silence the health model turns into a watchdog verdict.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum HeartbeatKind {
-    /// A broker's Message Proxy loop iterated.
+    /// A reactor event loop serving a live broker iterated. The loops
+    /// admit every socket message, so this is the ingress (Message Proxy)
+    /// heartbeat.
     Proxy,
     /// A delivery worker iterated (popped a job or woke from its wait).
     Worker,
@@ -88,9 +90,6 @@ struct HeartbeatEntry {
 struct QueueEntry {
     depth: AtomicU64,
     high_watermark: AtomicU64,
-    /// Proxy ingress channel backlog (messages waiting for admission).
-    ingress_backlog: AtomicU64,
-    ingress_watermark: AtomicU64,
 }
 
 /// One reactor event loop's ingress counters. `registered` is a gauge
@@ -311,8 +310,6 @@ impl Inner {
                 let entry = Arc::new(QueueEntry {
                     depth: AtomicU64::new(0),
                     high_watermark: AtomicU64::new(0),
-                    ingress_backlog: AtomicU64::new(0),
-                    ingress_watermark: AtomicU64::new(0),
                 });
                 queues.insert(i, (broker, entry.clone()));
                 entry
@@ -659,17 +656,6 @@ impl Telemetry {
         }
     }
 
-    /// Records `broker`'s proxy ingress-channel backlog (messages waiting
-    /// for admission). Sampled once per proxy loop iteration.
-    #[inline]
-    pub fn record_ingress_backlog(&self, broker: BrokerId, backlog: u64) {
-        if let Some(inner) = &self.inner {
-            let e = inner.queue_entry(broker);
-            e.ingress_backlog.store(backlog, Ordering::Relaxed);
-            e.ingress_watermark.fetch_max(backlog, Ordering::Relaxed);
-        }
-    }
-
     /// The recording handle for reactor event loop `loop_index`, created
     /// if absent. Resolve once at loop start-up and keep the handle; a
     /// disabled registry yields a no-op handle.
@@ -851,8 +837,6 @@ impl Telemetry {
                 broker: *broker,
                 depth: e.depth.load(Ordering::Relaxed),
                 high_watermark: e.high_watermark.load(Ordering::Relaxed),
-                ingress_backlog: e.ingress_backlog.load(Ordering::Relaxed),
-                ingress_watermark: e.ingress_watermark.load(Ordering::Relaxed),
             })
             .collect();
         let reactor_loops = inner
@@ -985,10 +969,6 @@ pub struct QueueGaugeSnapshot {
     pub depth: u64,
     /// The deepest the scheduler queue has been.
     pub high_watermark: u64,
-    /// Messages waiting in the proxy ingress channel.
-    pub ingress_backlog: u64,
-    /// The deepest the ingress backlog has been.
-    pub ingress_watermark: u64,
 }
 
 /// One reactor event loop's ingress counters.
@@ -1366,8 +1346,6 @@ mod tests {
         t.heartbeat(HeartbeatKind::Proxy, Time::from_millis(2));
         t.record_queue_depth(BrokerId(7), 5);
         t.record_queue_depth(BrokerId(7), 2);
-        t.record_ingress_backlog(BrokerId(7), 9);
-        t.record_ingress_backlog(BrokerId(7), 0);
 
         let s = t.snapshot();
         assert_eq!(s.admits, 1);
@@ -1378,8 +1356,6 @@ mod tests {
         let q = s.queue(BrokerId(7)).expect("queue gauges");
         assert_eq!(q.depth, 2);
         assert_eq!(q.high_watermark, 5);
-        assert_eq!(q.ingress_backlog, 0);
-        assert_eq!(q.ingress_watermark, 9);
 
         let disabled = Telemetry::disabled();
         disabled.heartbeat(HeartbeatKind::Worker, Time::from_millis(1));

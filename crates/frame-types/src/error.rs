@@ -39,10 +39,6 @@ pub enum FrameError {
         /// What was attempted.
         operation: &'static str,
     },
-    /// Transport-level failure in the threaded runtime (peer disconnected,
-    /// channel closed, ...).
-    #[deprecated(since = "0.2.0", note = "use `FrameError::Net` instead")]
-    Transport(String),
     /// Configuration could not be parsed or is internally inconsistent.
     InvalidConfig(String),
     /// A network operation failed (socket error, peer disconnected,
@@ -133,8 +129,6 @@ impl fmt::Display for FrameError {
                     "operation `{operation}` is not valid in this broker role"
                 )
             }
-            #[allow(deprecated)]
-            FrameError::Transport(msg) => write!(f, "transport error: {msg}"),
             FrameError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             FrameError::Net(msg) => write!(f, "network error: {msg}"),
             FrameError::Store(msg) => write!(f, "storage error: {msg}"),

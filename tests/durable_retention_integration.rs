@@ -60,10 +60,7 @@ fn publisher_restart_recovers_retention_and_resends() {
     sys.add_topic(spec, vec![SubscriberId(1)]).unwrap();
     let rx = sys.subscribe(SubscriberId(1));
     for m in recovered {
-        sys.primary
-            .sender()
-            .send(frame::rt::BrokerMsg::Resend(m))
-            .unwrap();
+        sys.primary.resend(m);
     }
     for expect in [2u64, 3, 4] {
         let d = rx
