@@ -92,13 +92,14 @@ fn run_once(policy: SchedulingPolicy, workers: usize, messages: u64) -> RunResul
         policy,
         ..BrokerConfig::frame()
     };
-    let (broker, threads) = RtBroker::spawn_with_telemetry(
+    let (broker, threads) = RtBroker::spawn(
         BrokerId(0),
         BrokerRole::Primary,
         config,
         workers,
         clock.clone(),
         Telemetry::disabled(),
+        None,
     );
     broker.set_job_service_time(Duration::from_micros(SERVICE_TIME_US));
     let net = NetworkParams::paper_example();
@@ -114,7 +115,7 @@ fn run_once(policy: SchedulingPolicy, workers: usize, messages: u64) -> RunResul
     let mut drainers = Vec::new();
     for s in &subscribers {
         let (tx, rx) = unbounded();
-        broker.connect_subscriber(*s, tx);
+        broker.connect_subscriber(*s, tx, None);
         drainers.push(std::thread::spawn(move || {
             let mut got = 0u64;
             while got < messages {

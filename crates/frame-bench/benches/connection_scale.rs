@@ -28,7 +28,7 @@ use crossbeam::channel::unbounded;
 use frame_bench::HostMeta;
 use frame_clock::{Clock, MonotonicClock};
 use frame_core::{admit, BrokerConfig, BrokerRole};
-use frame_rt::{write_frame_into, ReactorServer, RtBroker, WireMsg};
+use frame_rt::{ReactorServer, RtBroker, WireCodec, WireMsg};
 use frame_telemetry::Telemetry;
 use frame_types::{
     BrokerId, Message, NetworkParams, PublisherId, SeqNo, SubscriberId, TopicId, TopicSpec,
@@ -113,13 +113,14 @@ fn run_rung(publishers: usize, conn_budget: usize) -> RungResult {
     let connections = publishers.min(conn_budget);
     let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
     let telemetry = Telemetry::new();
-    let (broker, threads) = RtBroker::spawn_with_telemetry(
+    let (broker, threads) = RtBroker::spawn(
         BrokerId(0),
         BrokerRole::Primary,
         BrokerConfig::frame(),
         2,
         clock.clone(),
         telemetry.clone(),
+        None,
     );
     let net = NetworkParams::paper_example();
     for t in 0..TOPICS {
@@ -131,7 +132,7 @@ fn run_rung(publishers: usize, conn_budget: usize) -> RungResult {
             .unwrap();
     }
     let (tx, rx) = unbounded();
-    broker.connect_subscriber(SubscriberId(0), tx);
+    broker.connect_subscriber(SubscriberId(0), tx, None);
     let server = ReactorServer::bind("127.0.0.1:0", broker.clone()).expect("bind reactor");
     let addr = server.local_addr();
 
@@ -177,7 +178,7 @@ fn run_rung(publishers: usize, conn_budget: usize) -> RungResult {
         let clock = clock.clone();
         writers.push(std::thread::spawn(move || {
             let mut part = part;
-            let mut scratch = Vec::new();
+            let mut codec = WireCodec::new();
             let blocks = publishers.div_ceil(connections);
             for round in 0..ROUNDS {
                 // Interleave across this thread's connections block by
@@ -199,7 +200,8 @@ fn run_rung(publishers: usize, conn_budget: usize) -> RungResult {
                             clock.now(),
                             &b"0123456789abcdef"[..],
                         );
-                        write_frame_into(stream, &WireMsg::Publish(msg), &mut scratch)
+                        codec
+                            .encode_into(stream, &WireMsg::Publish(msg))
                             .expect("publish frame");
                     }
                 }

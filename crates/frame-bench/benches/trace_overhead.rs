@@ -163,13 +163,14 @@ fn run_broker(
 ) -> RunResult {
     let profile_before = frame_telemetry::snapshot_roles();
     let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
-    let (broker, threads) = RtBroker::spawn_with_telemetry(
+    let (broker, threads) = RtBroker::spawn(
         BrokerId(0),
         BrokerRole::Primary,
         BrokerConfig::frame(),
         WORKERS,
         clock.clone(),
         make(),
+        None,
     );
     broker.set_job_service_time(Duration::from_micros(SERVICE_TIME_US));
     let net = NetworkParams::paper_example();
@@ -181,16 +182,23 @@ fn run_broker(
             .unwrap();
     }
     let mut obs = with_sampler.then(|| {
+        // Each topic adds one SLO-burn series on top of the broker-wide
+        // ones the default cap is sized for; a sampler shedding series
+        // would measure a cheaper sampler than operators run.
+        let defaults = frame_obs::SamplerConfig::default();
         frame_obs::spawn_sampler(
             broker.telemetry().clone(),
             clock.clone(),
-            frame_obs::SamplerConfig::default(),
+            frame_obs::SamplerConfig {
+                max_series: defaults.max_series + TOPICS as usize,
+                ..defaults
+            },
         )
     });
     let mut drainers = Vec::new();
     for s in &subscribers {
         let (tx, rx) = unbounded();
-        broker.connect_subscriber(*s, tx);
+        broker.connect_subscriber(*s, tx, None);
         drainers.push(std::thread::spawn(move || {
             let mut got = 0u64;
             while got < messages {

@@ -10,7 +10,10 @@ use frame_core::{
     admit, dispatch_deadline, min_admissible_retention, replication_deadline, replication_needed,
     BrokerConfig, BrokerRole, Deadline, Publisher,
 };
-use frame_rt::{connect_backup_over_tcp, ReactorServer, RtBroker, TcpPublisher, TcpSubscriber};
+use frame_rt::{
+    connect_backup_over_tcp, ReactorServer, RtBroker, TcpBackupBridge, TcpPublisher, TcpSubscriber,
+};
+use frame_telemetry::Telemetry;
 use frame_types::{BrokerId, PublisherId, SubscriberId};
 
 use crate::manifest::Manifest;
@@ -74,8 +77,9 @@ pub fn cmd_admit(manifest: &Manifest, out: &mut impl std::io::Write) -> std::io:
     Ok(rejected)
 }
 
-/// A running broker process: server plus broker handle, and — with
-/// `--obs` — the metrics sampler and HTTP scrape endpoint.
+/// A running broker process: server plus broker handle, its Backup
+/// bridge when `--backup-addr` was given, and — with `--obs` — the metrics
+/// sampler and HTTP scrape endpoint.
 pub struct RunningBroker {
     /// The broker.
     pub broker: RtBroker,
@@ -83,6 +87,7 @@ pub struct RunningBroker {
     pub server: ReactorServer,
     /// The `/metrics` + `/healthz` listener, when `--obs` was given.
     pub obs: Option<(frame_obs::ObsSampler, frame_obs::ObsServer)>,
+    bridge: Option<TcpBackupBridge>,
     threads: frame_rt::RtBrokerThreads,
 }
 
@@ -95,6 +100,9 @@ impl RunningBroker {
         }
         self.broker.shutdown();
         self.server.shutdown();
+        if let Some(bridge) = self.bridge {
+            bridge.join();
+        }
         self.threads.join();
     }
 }
@@ -123,6 +131,8 @@ pub fn cmd_broker(
         config,
         workers,
         clock.clone(),
+        Telemetry::new(),
+        None,
     );
     for t in &manifest.topics {
         let (spec, subscribers) = t.to_spec();
@@ -131,11 +141,10 @@ pub fn cmd_broker(
             .register_topic(admitted, subscribers)
             .map_err(|e| e.to_string())?;
     }
-    if let Some(addr) = backup_addr {
-        // Fire-and-forget bridge; it lives as long as the broker.
-        let bridge = connect_backup_over_tcp(&broker, addr).map_err(|e| e.to_string())?;
-        std::mem::forget(bridge);
-    }
+    let bridge = backup_addr
+        .map(|addr| connect_backup_over_tcp(&broker, addr))
+        .transpose()
+        .map_err(|e| e.to_string())?;
     let obs = match obs_addr {
         None => None,
         Some(addr) => {
@@ -155,6 +164,7 @@ pub fn cmd_broker(
         broker,
         server,
         obs,
+        bridge,
         threads,
     })
 }
@@ -321,14 +331,11 @@ pub fn cmd_detector(
 /// Fetches a broker's live telemetry snapshot over TCP as raw JSON — the
 /// shared poll step behind `stats`, `stats --watch` and `top`.
 fn fetch_stats_json(addr: SocketAddr) -> Result<String, String> {
-    use frame_rt::{read_frame, WireMsg};
-    use frame_types::wire::EncodedFrame;
+    use frame_rt::{read_frame, write_frame, WireMsg};
     let mut s = std::net::TcpStream::connect(addr).map_err(|e| e.to_string())?;
     s.set_read_timeout(Some(std::time::Duration::from_secs(5)))
         .map_err(|e| e.to_string())?;
-    EncodedFrame::encode(&WireMsg::Stats)
-        .and_then(|f| f.write_to(&mut s))
-        .map_err(|e| e.to_string())?;
+    write_frame(&mut s, &WireMsg::Stats).map_err(|e| e.to_string())?;
     match read_frame(&mut s).map_err(|e| e.to_string())? {
         WireMsg::StatsJson(json) => Ok(json),
         other => Err(format!("unexpected stats reply: {other:?}")),
@@ -638,16 +645,13 @@ pub fn cmd_trace(
     find: Option<(u32, u64)>,
     out: &mut impl std::io::Write,
 ) -> Result<(), String> {
-    use frame_rt::{read_frame, WireMsg};
-    use frame_types::wire::EncodedFrame;
+    use frame_rt::{read_frame, write_frame, WireMsg};
     let snapshot = match source {
         TraceSource::Addr(addr) => {
             let mut s = std::net::TcpStream::connect(addr).map_err(|e| e.to_string())?;
             s.set_read_timeout(Some(std::time::Duration::from_secs(5)))
                 .map_err(|e| e.to_string())?;
-            EncodedFrame::encode(&WireMsg::Trace)
-                .and_then(|f| f.write_to(&mut s))
-                .map_err(|e| e.to_string())?;
+            write_frame(&mut s, &WireMsg::Trace).map_err(|e| e.to_string())?;
             match read_frame(&mut s).map_err(|e| e.to_string())? {
                 WireMsg::TraceJson(json) => frame_telemetry::flight_from_json(&json)
                     .map_err(|e| format!("malformed flight snapshot: {e}"))?,

@@ -176,37 +176,12 @@ impl RtBrokerThreads {
 
 impl RtBroker {
     /// Spawns a broker with `workers` delivery threads (the paper uses
-    /// 3 × CPU cores). Telemetry is enabled with default settings; use
-    /// [`RtBroker::spawn_with_telemetry`] to share a registry across
-    /// brokers or to disable recording entirely.
-    pub fn spawn(
-        id: BrokerId,
-        role: BrokerRole,
-        config: BrokerConfig,
-        workers: usize,
-        clock: Arc<dyn Clock>,
-    ) -> (RtBroker, RtBrokerThreads) {
-        RtBroker::spawn_with_telemetry(id, role, config, workers, clock, Telemetry::new())
-    }
-
-    /// Spawns a broker recording into the given [`Telemetry`] handle
-    /// (pass [`Telemetry::disabled`] for zero-overhead no-op recording).
-    pub fn spawn_with_telemetry(
-        id: BrokerId,
-        role: BrokerRole,
-        config: BrokerConfig,
-        workers: usize,
-        clock: Arc<dyn Clock>,
-        telemetry: Telemetry,
-    ) -> (RtBroker, RtBrokerThreads) {
-        RtBroker::spawn_configured(id, role, config, workers, clock, telemetry, None)
-    }
-
-    /// Spawns a broker with the full configuration surface: a shared
-    /// [`Telemetry`] registry plus an optional scripted
+    /// 3 × CPU cores), recording into `telemetry` — [`Telemetry::new`] for
+    /// a private registry, a clone to share one across brokers,
+    /// [`Telemetry::disabled`] for no-op recording. `hook` is a scripted
     /// [`crate::fault::FaultHook`] consulted on the Primary→Backup and
-    /// broker→subscriber hops and in the worker loop.
-    pub fn spawn_configured(
+    /// broker→subscriber hops and in the worker loop; `None` in production.
+    pub fn spawn(
         id: BrokerId,
         role: BrokerRole,
         config: BrokerConfig,
@@ -334,35 +309,25 @@ impl RtBroker {
         Ok(())
     }
 
-    /// Connects a subscriber's delivery channel (in-process consumer:
-    /// deliveries carry no pre-encoded wire frame unless some wire
-    /// subscriber is also connected).
-    pub fn connect_subscriber(&self, id: SubscriberId, tx: Sender<Delivered>) {
-        self.inner
-            .subscribers
-            .write()
-            .insert(id, SubscriberEntry { tx, notify: None });
-    }
-
-    /// Connects a subscriber's delivery channel with a wake-up callback,
-    /// invoked after deliveries are pushed so an event-driven transport
-    /// (the ingress reactor — a wire transport, so this also enables
-    /// encode-once delivery) can schedule the drain instead of polling
-    /// the channel.
-    pub fn connect_subscriber_with_notify(
+    /// Connects a subscriber's delivery channel. `notify` is invoked
+    /// after deliveries are pushed, so an event-driven transport (the
+    /// ingress reactor) can schedule the drain instead of polling the
+    /// channel. A notify marks a wire subscriber and turns on encode-once
+    /// delivery: each delivery then carries its pre-encoded frame. An
+    /// in-process consumer passes `None`.
+    pub fn connect_subscriber(
         &self,
         id: SubscriberId,
         tx: Sender<Delivered>,
-        notify: DeliveryNotify,
+        notify: Option<DeliveryNotify>,
     ) {
-        self.inner.wire_subscribers.store(true, Ordering::Release);
-        self.inner.subscribers.write().insert(
-            id,
-            SubscriberEntry {
-                tx,
-                notify: Some(notify),
-            },
-        );
+        if notify.is_some() {
+            self.inner.wire_subscribers.store(true, Ordering::Release);
+        }
+        self.inner
+            .subscribers
+            .write()
+            .insert(id, SubscriberEntry { tx, notify });
     }
 
     /// Connects the Backup peer: every finished job's replicas and prunes
@@ -1029,12 +994,14 @@ mod tests {
             BrokerConfig::frame(),
             2,
             clock.clone(),
+            Telemetry::new(),
+            None,
         );
         broker
             .register_topic(admitted(0, 1), vec![SubscriberId(1)])
             .unwrap();
         let (tx, rx) = unbounded();
-        broker.connect_subscriber(SubscriberId(1), tx);
+        broker.connect_subscriber(SubscriberId(1), tx, None);
 
         for seq in 0..10 {
             broker.publish(msg(1, seq, clock.as_ref()));
@@ -1059,12 +1026,14 @@ mod tests {
             BrokerConfig::frame(),
             8,
             clock.clone(),
+            Telemetry::new(),
+            None,
         );
         broker
             .register_topic(admitted(0, 1), vec![SubscriberId(1)])
             .unwrap();
         let (tx, rx) = unbounded();
-        broker.connect_subscriber(SubscriberId(1), tx);
+        broker.connect_subscriber(SubscriberId(1), tx, None);
         const N: u64 = 2_000;
         for seq in 0..N {
             broker.publish(msg(1, seq, clock.as_ref()));
@@ -1089,6 +1058,8 @@ mod tests {
             BrokerConfig::frame(),
             2,
             clock.clone(),
+            Telemetry::new(),
+            None,
         );
         let (backup, bt) = RtBroker::spawn(
             BrokerId(1),
@@ -1096,6 +1067,8 @@ mod tests {
             BrokerConfig::frame(),
             2,
             clock.clone(),
+            Telemetry::new(),
+            None,
         );
         // Category 2 requires replication under Proposition 1.
         primary
@@ -1107,7 +1080,7 @@ mod tests {
         let sink = backup.clone();
         primary.connect_backup(Arc::new(move |effects| sink.apply_backup(effects)));
         let (tx, rx) = unbounded();
-        primary.connect_subscriber(SubscriberId(1), tx);
+        primary.connect_subscriber(SubscriberId(1), tx, None);
 
         primary.publish(msg(1, 0, clock.as_ref()));
         rx.recv_timeout(std::time::Duration::from_secs(2)).unwrap();
@@ -1141,12 +1114,14 @@ mod tests {
             BrokerConfig::fcfs_minus(),
             2,
             clock.clone(),
+            Telemetry::new(),
+            None,
         );
         backup
             .register_topic(admitted(2, 1), vec![SubscriberId(1)])
             .unwrap();
         let (tx, rx) = unbounded();
-        backup.connect_subscriber(SubscriberId(1), tx);
+        backup.connect_subscriber(SubscriberId(1), tx, None);
 
         // Feed replicas directly (as a primary would), then promote.
         for seq in 0..5 {
@@ -1176,6 +1151,8 @@ mod tests {
             BrokerConfig::frame(),
             1,
             clock.clone(),
+            Telemetry::new(),
+            None,
         );
         backup
             .register_topic(admitted(2, 1), vec![SubscriberId(1)])
@@ -1204,13 +1181,15 @@ mod tests {
             BrokerConfig::frame(),
             1,
             clock.clone(),
+            Telemetry::new(),
+            None,
         );
         // Category 4 is best-effort: shed- and evict-eligible.
         broker
             .register_topic(admitted(4, 1), vec![SubscriberId(1)])
             .unwrap();
         let (tx, rx) = unbounded();
-        broker.connect_subscriber(SubscriberId(1), tx);
+        broker.connect_subscriber(SubscriberId(1), tx, None);
 
         // Rate-driven pressure only: 1 msg/s capacity against a burst of
         // hundreds in milliseconds reads as saturated on every tick.
@@ -1264,7 +1243,17 @@ mod tests {
     #[test]
     fn calls_after_kill_create_no_job_and_move_no_counter() {
         let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
-        let spawn = |id, role| RtBroker::spawn(id, role, BrokerConfig::frame(), 1, clock.clone());
+        let spawn = |id, role| {
+            RtBroker::spawn(
+                id,
+                role,
+                BrokerConfig::frame(),
+                1,
+                clock.clone(),
+                Telemetry::new(),
+                None,
+            )
+        };
         let (primary, pt) = spawn(BrokerId(0), BrokerRole::Primary);
         let (backup, bt) = spawn(BrokerId(1), BrokerRole::Backup);
         for b in [&primary, &backup] {

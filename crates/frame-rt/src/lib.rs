@@ -9,6 +9,14 @@
 //! caller's thread — a reactor event loop ([`ReactorServer`]) for socket
 //! traffic, the publisher's own thread in-process ([`RtBroker::publish`]).
 //!
+//! A broker is built by one constructor, [`RtBroker::spawn`], and a
+//! subscriber attaches with one call, [`RtBroker::connect_subscriber`].
+//! Over TCP the [`ReactorServer`] serves the broker side and [`tcp`] holds
+//! the clients and the Primary→Backup bridge. The bytes on the wire —
+//! frames, the encoder and both stream readers — belong to
+//! [`frame_types::wire`]; this crate re-exports the names its users reach
+//! for ([`read_frame`], [`write_frame`], [`FrameDecoder`], [`WireMsg`], …).
+//!
 //! # Quick start
 //!
 //! ```
@@ -43,12 +51,11 @@ pub use broker_rt::{
 pub use fault::{BackupEffectKind, FaultHook, FrameFate, Hop, SharedFaultHook};
 pub use reactor::{ReactorConfig, ReactorServer};
 pub use system::{RtPublisher, RtSystem, RtSystemBuilder};
-pub use tcp::{
-    connect_backup_over_tcp, read_frame, write_frame, write_frame_into, Decoded, FrameDecoder,
-    TcpBackupBridge, TcpPublisher, TcpSubscriber,
-};
-// The wire format itself lives with the passive vocabulary types; re-export
-// the pieces transports and tools reach for alongside the runtime.
+pub use tcp::{connect_backup_over_tcp, TcpBackupBridge, TcpPublisher, TcpSubscriber};
+// The wire format and its readers and writers live with the passive
+// vocabulary types; re-export the pieces transports and tools reach for
+// alongside the runtime.
 pub use frame_types::wire::{
-    EncodedFrame, FrameSink, FrameWriteQueue, WireCodec, WireMsg, MAX_FRAME_LEN,
+    read_frame, read_frame_checked, write_frame, Decoded, EncodedFrame, FrameDecoder, FrameSink,
+    FrameWriteQueue, WireCodec, WireMsg, MAX_FRAME_LEN,
 };

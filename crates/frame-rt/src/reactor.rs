@@ -47,9 +47,9 @@ use parking_lot::Mutex;
 use polling::{Event, Events, Poller};
 
 use crate::broker_rt::{Delivered, DeliveryNotify, RtBroker};
-use frame_types::wire::{BackupEffect, EncodedFrame, FrameSink, FrameWriteQueue, WireMsg};
-
-use crate::tcp::{Decoded, FrameDecoder};
+use frame_types::wire::{
+    BackupEffect, Decoded, EncodedFrame, FrameDecoder, FrameSink, FrameWriteQueue, WireMsg,
+};
 
 /// Tuning knobs for a [`ReactorServer`].
 #[derive(Clone, Debug)]
@@ -657,11 +657,8 @@ fn handle_frame(conn: &mut Conn, ctx: &LoopCtx, msg: WireMsg) -> bool {
         }
         WireMsg::Subscribe(id) => {
             let (tx, rx) = unbounded();
-            ctx.broker.connect_subscriber_with_notify(
-                id,
-                tx,
-                delivery_notify(&ctx.shared, &conn.tag),
-            );
+            ctx.broker
+                .connect_subscriber(id, tx, Some(delivery_notify(&ctx.shared, &conn.tag)));
             conn.deliveries = Some(rx);
         }
         WireMsg::Promote => {

@@ -347,7 +347,7 @@ impl RtSystemBuilder {
             hook,
         } = self;
         let clock: Arc<dyn Clock> = clock.unwrap_or_else(|| Arc::new(MonotonicClock::new()));
-        let (primary, pt) = RtBroker::spawn_configured(
+        let (primary, pt) = RtBroker::spawn(
             BrokerId(0),
             BrokerRole::Primary,
             config,
@@ -356,7 +356,7 @@ impl RtSystemBuilder {
             telemetry.clone(),
             hook.clone(),
         );
-        let (backup, bt) = RtBroker::spawn_configured(
+        let (backup, bt) = RtBroker::spawn(
             BrokerId(1),
             BrokerRole::Backup,
             config,
@@ -559,8 +559,8 @@ impl RtSystem {
     /// channel.
     pub fn subscribe(&self, id: SubscriberId) -> Receiver<Delivered> {
         let (tx, rx) = unbounded();
-        self.primary.connect_subscriber(id, tx.clone());
-        self.backup.connect_subscriber(id, tx);
+        self.primary.connect_subscriber(id, tx.clone(), None);
+        self.backup.connect_subscriber(id, tx, None);
         rx
     }
 

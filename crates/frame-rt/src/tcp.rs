@@ -1,18 +1,17 @@
-//! Loopback/LAN TCP clients and the Primary→Backup bridge.
+//! TCP clients and the Primary→Backup bridge.
 //!
 //! In-process, publishers and the Backup call [`RtBroker`] directly; this
 //! module carries the same protocol over TCP so publishers, subscribers
 //! and the Backup peer can live in other processes or hosts — the shape of
 //! the paper's seven-host testbed. The broker side of every connection is
-//! [`crate::reactor::ReactorServer`]; this module holds the framing
-//! helpers, the incremental [`FrameDecoder`] the reactor feeds, the
-//! blocking [`TcpPublisher`] / [`TcpSubscriber`] peers and the Backup
-//! bridge. Frames are the length-prefixed binary bodies of
-//! [`frame_types::wire`] ([`WireMsg`]); this module only moves them over
-//! sockets. Reliability and ordering come from TCP, matching the model's
-//! reliable in-order interconnect assumption (§III-B).
+//! [`crate::reactor::ReactorServer`]; this module holds the blocking
+//! [`TcpPublisher`] / [`TcpSubscriber`] clients and the Backup bridge.
+//! Frames, and every reader and writer of them, belong to
+//! [`frame_types::wire`]; this module only moves them over sockets.
+//! Reliability and ordering come from TCP, matching the model's reliable
+//! in-order interconnect assumption (§III-B).
 
-use std::io::{Read, Write};
+use std::io::Read;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -20,224 +19,12 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use frame_types::wire::{
-    BackupEffect, BufferPool, FrameSink, FrameWriteQueue, WireCodec, SCRATCH_RETAIN_CAP,
+    write_frame, BackupEffect, Decoded, FrameDecoder, FrameSink, FrameWriteQueue, WireCodec,
+    WireMsg,
 };
 use frame_types::{FrameError, Message, SubscriberId};
 
 use crate::broker_rt::RtBroker;
-
-pub use frame_types::wire::{WireMsg, MAX_FRAME_LEN};
-
-/// Shared free-list of codec scratch buffers (frame assembly) for
-/// publisher connections and the backup bridge. Sized for
-/// the workspace's connection churn: 64 slots retains scratch for 64
-/// codecs, and the 64 KiB retention cap matches the decoder's
-/// [`DECODER_RETAIN_CAP`] so one huge frame never pins its buffer.
-pub(crate) static WIRE_POOL: BufferPool = BufferPool::new(64, SCRATCH_RETAIN_CAP);
-
-/// Rents a [`WireCodec`] whose scratch comes from [`WIRE_POOL`], mirroring
-/// hit/miss into telemetry so `pool.*` gauges track warm-up live.
-pub(crate) fn rent_codec() -> WireCodec {
-    let (frame, hit) = WIRE_POOL.get();
-    frame_telemetry::record_pool_get(hit);
-    WireCodec::with_buffer(frame)
-}
-
-/// Returns a rented codec's scratch to [`WIRE_POOL`] (drop-counted when
-/// the free-list is full or the buffer outgrew the retention cap).
-pub(crate) fn return_codec(codec: WireCodec) {
-    frame_telemetry::record_pool_put(WIRE_POOL.put(codec.into_buffer()));
-}
-
-/// Why reading a frame failed.
-#[derive(Debug)]
-pub enum FrameReadError {
-    /// The length prefix and body were fully consumed but the body did not
-    /// parse. The stream is still frame-aligned, so a server may log, drop
-    /// the frame and keep reading (a misbehaving client must not be able to
-    /// take the connection down mid-protocol for everyone sharing it).
-    Malformed(String),
-    /// A socket error — EOF, truncation mid-frame, or an oversized length
-    /// prefix. The stream can no longer be trusted to be frame-aligned.
-    Io(std::io::Error),
-}
-
-impl std::fmt::Display for FrameReadError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameReadError::Malformed(e) => write!(f, "malformed frame body: {e}"),
-            FrameReadError::Io(e) => write!(f, "socket error: {e}"),
-        }
-    }
-}
-
-/// Writes one length-prefixed frame, assembling prefix and body in
-/// `scratch` so the whole frame leaves in a single `write_all` (one
-/// syscall on an unbuffered socket; with `TCP_NODELAY` set, two writes
-/// would otherwise risk the 4-byte prefix travelling as its own segment).
-/// `scratch` is cleared and reused — hot paths keep one per connection so
-/// steady state does no allocation.
-///
-/// # Errors
-///
-/// Propagates encoding and socket errors.
-pub fn write_frame_into<W: Write>(
-    writer: &mut W,
-    msg: &WireMsg,
-    scratch: &mut Vec<u8>,
-) -> std::io::Result<()> {
-    scratch.clear();
-    msg.append_frame(scratch)?;
-    writer.write_all(scratch)
-}
-
-/// Writes one length-prefixed frame (convenience wrapper over
-/// [`write_frame_into`] with a throwaway scratch buffer).
-///
-/// # Errors
-///
-/// Propagates encoding and socket errors.
-pub fn write_frame<W: Write>(writer: &mut W, msg: &WireMsg) -> std::io::Result<()> {
-    write_frame_into(writer, msg, &mut Vec::new())
-}
-
-/// Reads one length-prefixed frame, classifying failures so callers can
-/// tell a recoverable malformed body (frame consumed, stream still
-/// aligned) from a dead socket.
-///
-/// # Errors
-///
-/// [`FrameReadError::Malformed`] when the body fails to parse;
-/// [`FrameReadError::Io`] for socket errors, truncation and oversized
-/// length prefixes (including clean EOF as `UnexpectedEof`).
-pub fn read_frame_checked<R: Read>(stream: &mut R) -> Result<WireMsg, FrameReadError> {
-    let mut len = [0u8; 4];
-    stream.read_exact(&mut len).map_err(FrameReadError::Io)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(FrameReadError::Io(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "frame exceeds sanity limit",
-        )));
-    }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body).map_err(FrameReadError::Io)?;
-    WireMsg::decode(&body).map_err(|e| FrameReadError::Malformed(e.to_string()))
-}
-
-/// Reads one length-prefixed frame.
-///
-/// # Errors
-///
-/// Propagates decoding and socket errors (including clean EOF as
-/// `UnexpectedEof`). Use [`read_frame_checked`] to distinguish a malformed
-/// body (recoverable) from a dead socket.
-pub fn read_frame<R: Read>(stream: &mut R) -> std::io::Result<WireMsg> {
-    read_frame_checked(stream).map_err(|e| match e {
-        FrameReadError::Malformed(msg) => std::io::Error::new(std::io::ErrorKind::InvalidData, msg),
-        FrameReadError::Io(io) => io,
-    })
-}
-
-/// One completed frame out of a [`FrameDecoder`].
-#[derive(Debug)]
-pub enum Decoded {
-    /// A complete, parseable frame.
-    Frame(WireMsg),
-    /// A complete frame whose body did not parse. The byte stream is still
-    /// frame-aligned, so the connection can keep going (mirrors
-    /// [`FrameReadError::Malformed`]).
-    Malformed(String),
-}
-
-/// Incremental, sans-IO mirror of [`read_frame_checked`] for nonblocking
-/// sockets: bytes are fed in whatever chunks the kernel hands back —
-/// mid-prefix, mid-body, many frames at once — and completed frames come
-/// out through the sink in order. The reactor keeps one per connection.
-#[derive(Debug, Default)]
-pub struct FrameDecoder {
-    prefix: [u8; 4],
-    prefix_filled: usize,
-    in_body: bool,
-    body_target: usize,
-    body: Vec<u8>,
-}
-
-/// Body capacity retained across frames. Anything larger is returned to
-/// the allocator once decoded, so one huge frame does not pin ~16 MB to a
-/// connection for its lifetime.
-const DECODER_RETAIN_CAP: usize = 64 * 1024;
-
-impl FrameDecoder {
-    /// A decoder at the start of a frame boundary.
-    pub fn new() -> FrameDecoder {
-        FrameDecoder::default()
-    }
-
-    /// Consumes `chunk`, invoking `sink` once per completed frame.
-    ///
-    /// # Errors
-    ///
-    /// An oversized length prefix (> [`MAX_FRAME_LEN`]) is unrecoverable —
-    /// the stream can no longer be trusted to be frame-aligned — and is
-    /// returned as `InvalidData`; the decoder must not be fed again.
-    pub fn feed(
-        &mut self,
-        mut chunk: &[u8],
-        sink: &mut impl FnMut(Decoded),
-    ) -> std::io::Result<()> {
-        loop {
-            if !self.in_body {
-                if chunk.is_empty() {
-                    return Ok(());
-                }
-                let take = (4 - self.prefix_filled).min(chunk.len());
-                self.prefix[self.prefix_filled..self.prefix_filled + take]
-                    .copy_from_slice(&chunk[..take]);
-                self.prefix_filled += take;
-                chunk = &chunk[take..];
-                if self.prefix_filled < 4 {
-                    return Ok(());
-                }
-                let len = u32::from_le_bytes(self.prefix) as usize;
-                if len > MAX_FRAME_LEN {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "frame exceeds sanity limit",
-                    ));
-                }
-                self.in_body = true;
-                self.body_target = len;
-                self.body.clear();
-            }
-            let take = (self.body_target - self.body.len()).min(chunk.len());
-            self.body.extend_from_slice(&chunk[..take]);
-            chunk = &chunk[take..];
-            if self.body.len() < self.body_target {
-                return Ok(());
-            }
-            let decoded = match WireMsg::decode(&self.body) {
-                Ok(msg) => Decoded::Frame(msg),
-                Err(e) => Decoded::Malformed(e.to_string()),
-            };
-            self.prefix_filled = 0;
-            self.in_body = false;
-            if self.body.capacity() > DECODER_RETAIN_CAP {
-                self.body = Vec::new();
-            } else {
-                self.body.clear();
-            }
-            sink(decoded);
-        }
-    }
-
-    /// Whether bytes of an unfinished frame are buffered — at EOF this
-    /// means the peer truncated mid-frame (the blocking reader's
-    /// `UnexpectedEof`).
-    pub fn is_mid_frame(&self) -> bool {
-        self.prefix_filled > 0 || self.in_body
-    }
-}
 
 /// Bridges a Primary's Backup-bound traffic (replicas and prunes) over TCP
 /// to a Backup broker served by a [`crate::reactor::ReactorServer`] at
@@ -268,9 +55,7 @@ pub fn connect_backup_over_tcp(
         .name("frame-tcp-backup-bridge".into())
         .spawn(move || {
             frame_telemetry::register_thread_role(frame_telemetry::RoleKind::BackupBridge, 0);
-            let codec = rent_codec();
-            let codec = backup_bridge_loop(stream, rx, stop2, codec);
-            return_codec(codec);
+            backup_bridge_loop(stream, rx, stop2);
         })
         .map_err(FrameError::net)?;
     Ok(TcpBackupBridge {
@@ -291,15 +76,10 @@ const BRIDGE_FRAMES_PER_FLUSH: usize = 8;
 /// The Primary→Backup forwarder. The bridge is the only reader of its
 /// channel, so draining it greedily preserves the Primary's per-topic
 /// emission order while coalescing a backlog into bounded `ReplicaBatch`
-/// frames; queued frames leave in one vectored flush. Returns the codec
-/// for pooling.
-fn backup_bridge_loop(
-    stream: TcpStream,
-    rx: Receiver<Vec<BackupEffect>>,
-    stop: Arc<AtomicBool>,
-    mut codec: WireCodec,
-) -> WireCodec {
+/// frames; queued frames leave in one vectored flush.
+fn backup_bridge_loop(stream: TcpStream, rx: Receiver<Vec<BackupEffect>>, stop: Arc<AtomicBool>) {
     let mut writer = stream;
+    let mut codec = WireCodec::new();
     let mut out = FrameWriteQueue::unbounded();
     let mut batch: Vec<BackupEffect> = Vec::new();
     let mut pending: Option<Vec<BackupEffect>> = None;
@@ -315,11 +95,11 @@ fn backup_bridge_loop(
                 Ok(m) => m,
                 Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
                     if stop.load(Ordering::Acquire) {
-                        return codec;
+                        return;
                     }
                     continue;
                 }
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return codec,
+                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
             },
         };
         batch.clear();
@@ -342,7 +122,7 @@ fn backup_bridge_loop(
             match codec.encode(&frame) {
                 // Blocking socket: the flush below is the backpressure.
                 Ok(encoded) => out.push_control(encoded),
-                Err(_) => return codec,
+                Err(_) => return,
             }
         }
         // If the channel is still hot, stage another frame before flushing
@@ -358,7 +138,7 @@ fn backup_bridge_loop(
         }
         match out.flush_blocking(&mut writer) {
             Ok(syscalls) => frame_telemetry::record_write_syscalls(syscalls),
-            Err(_) => return codec, // partition: stop forwarding
+            Err(_) => return, // partition: stop forwarding
         }
     }
 }
@@ -399,7 +179,7 @@ impl TcpPublisher {
         stream.set_nodelay(true).ok();
         Ok(TcpPublisher {
             stream,
-            codec: rent_codec(),
+            codec: WireCodec::new(),
         })
     }
 
@@ -426,12 +206,6 @@ impl TcpPublisher {
     }
 }
 
-impl Drop for TcpPublisher {
-    fn drop(&mut self) {
-        return_codec(std::mem::take(&mut self.codec));
-    }
-}
-
 /// A TCP subscriber connection: deliveries stream into a channel.
 pub struct TcpSubscriber {
     rx: Receiver<Message>,
@@ -452,25 +226,7 @@ impl TcpSubscriber {
         let (tx, rx): (Sender<Message>, Receiver<Message>) = unbounded();
         let thread = std::thread::Builder::new()
             .name("frame-tcp-subscriber".into())
-            .spawn(move || loop {
-                let got = read_frame_checked(&mut stream);
-                frame_telemetry::record_read_syscalls(if got.is_ok() { 2 } else { 1 });
-                match got {
-                    Ok(WireMsg::Deliver(m)) => {
-                        if tx.send(m).is_err() {
-                            return;
-                        }
-                    }
-                    Ok(_) => continue,
-                    Err(FrameReadError::Malformed(e)) => {
-                        // Still frame-aligned: drop the bad frame, keep the
-                        // subscription alive.
-                        eprintln!("frame-rt/tcp: subscriber dropping malformed frame: {e}");
-                        continue;
-                    }
-                    Err(FrameReadError::Io(_)) => return,
-                }
-            })
+            .spawn(move || subscriber_loop(stream, tx))
             .map_err(FrameError::net)?;
         Ok(TcpSubscriber {
             rx,
@@ -484,13 +240,50 @@ impl TcpSubscriber {
     }
 }
 
+/// Bytes a subscriber asks for per `read`: a 16 KiB camera frame and its
+/// header arrive in one call.
+const SUBSCRIBER_READ_BUF: usize = 64 * 1024;
+
+/// The subscriber's reader, on the same [`FrameDecoder`] as the reactor.
+/// A malformed but frame-aligned body is dropped and the subscription
+/// lives on; EOF, a socket error, an oversized length prefix or a
+/// delivery to a dropped [`TcpSubscriber`] ends the thread.
+fn subscriber_loop(mut stream: TcpStream, tx: Sender<Message>) {
+    let mut decoder = FrameDecoder::new();
+    let mut buf = vec![0u8; SUBSCRIBER_READ_BUF];
+    let mut open = true;
+    while open {
+        let got = stream.read(&mut buf);
+        frame_telemetry::record_read_syscalls(1);
+        let n = match got {
+            Ok(0) => return,
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => return,
+        };
+        let fed = decoder.feed(&buf[..n], &mut |decoded| match decoded {
+            Decoded::Frame(WireMsg::Deliver(m)) => open &= tx.send(m).is_ok(),
+            Decoded::Frame(_) => {}
+            Decoded::Malformed(e) => {
+                eprintln!("frame-rt/tcp: subscriber dropping malformed frame: {e}");
+            }
+        });
+        if fed.is_err() {
+            return;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reactor::ReactorServer;
     use frame_clock::MonotonicClock;
     use frame_core::{admit, BrokerConfig, BrokerRole};
+    use frame_telemetry::Telemetry;
+    use frame_types::wire::read_frame;
     use frame_types::{BrokerId, NetworkParams, PublisherId, SeqNo, Time, TopicId, TopicSpec};
+    use std::io::Write;
     use std::net::TcpListener;
 
     fn spawn_broker() -> (RtBroker, crate::broker_rt::RtBrokerThreads) {
@@ -501,6 +294,8 @@ mod tests {
             BrokerConfig::frame(),
             2,
             clock,
+            Telemetry::new(),
+            None,
         )
     }
 
@@ -558,6 +353,8 @@ mod tests {
             BrokerConfig::frame(),
             2,
             clock.clone(),
+            Telemetry::new(),
+            None,
         );
         let (backup, bt) = RtBroker::spawn(
             BrokerId(1),
@@ -565,6 +362,8 @@ mod tests {
             BrokerConfig::frame(),
             2,
             clock.clone(),
+            Telemetry::new(),
+            None,
         );
         let net = NetworkParams::paper_example();
         let spec = TopicSpec::category(2, TopicId(1));
@@ -678,33 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn replica_batch_frame_round_trips() {
-        let m = Message::new(
-            TopicId(1),
-            PublisherId(0),
-            SeqNo(0),
-            Time::ZERO,
-            &b"0123456789abcdef"[..],
-        );
-        let key = m.key();
-        let frame = WireMsg::ReplicaBatch(vec![BackupEffect::Replica(m), BackupEffect::Prune(key)]);
-        let mut wire = Vec::new();
-        let mut scratch = Vec::new();
-        write_frame_into(&mut wire, &frame, &mut scratch).unwrap();
-        // One buffer = one write_all: the prefix must be inside the frame.
-        assert_eq!(wire[..4], (wire.len() as u32 - 4).to_le_bytes());
-        let mut cursor = std::io::Cursor::new(wire);
-        match read_frame(&mut cursor).unwrap() {
-            WireMsg::ReplicaBatch(batch) => {
-                assert_eq!(batch.len(), 2);
-                assert!(matches!(batch[0], BackupEffect::Replica(_)));
-                assert!(matches!(&batch[1], BackupEffect::Prune(k) if *k == key));
-            }
-            other => panic!("expected ReplicaBatch, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn malformed_frame_is_dropped_and_connection_survives() {
         let (broker, threads) = spawn_broker();
         let server = ReactorServer::bind("127.0.0.1:0", broker.clone()).unwrap();
@@ -732,43 +504,51 @@ mod tests {
     }
 
     #[test]
-    fn read_frame_checked_classifies_errors() {
-        // Malformed body: consumed whole, classified recoverable.
-        let body = b"not json at all";
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        wire.extend_from_slice(body);
-        let mut cursor = std::io::Cursor::new(wire);
-        assert!(matches!(
-            read_frame_checked(&mut cursor),
-            Err(FrameReadError::Malformed(_))
-        ));
-
-        // Truncated frame (prefix promises more than the stream holds):
-        // an I/O error, the stream is no longer trustworthy.
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&16u32.to_le_bytes());
-        wire.extend_from_slice(b"short");
-        let mut cursor = std::io::Cursor::new(wire);
-        assert!(matches!(
-            read_frame_checked(&mut cursor),
-            Err(FrameReadError::Io(_))
-        ));
-    }
-
-    #[test]
-    fn frame_codec_rejects_oversized() {
-        let (a, _b) = (TcpListener::bind("127.0.0.1:0").unwrap(), ());
-        let addr = a.local_addr().unwrap();
-        let client = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            // Hand-craft an absurd length prefix.
-            s.write_all(&u32::MAX.to_le_bytes()).unwrap();
-            s.write_all(&[0u8; 16]).unwrap();
+    fn subscriber_drops_a_malformed_frame_and_stops_at_an_oversized_prefix() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (go_tx, go_rx) = unbounded::<()>();
+        let peer = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            assert_eq!(
+                read_frame(&mut conn).unwrap(),
+                WireMsg::Subscribe(SubscriberId(7))
+            );
+            let deliver = |seq| {
+                WireMsg::Deliver(Message::new(
+                    TopicId(1),
+                    PublisherId(0),
+                    SeqNo(seq),
+                    Time::ZERO,
+                    &b"payload"[..],
+                ))
+            };
+            let mut wire = Vec::new();
+            write_frame(&mut wire, &deliver(0)).unwrap();
+            // Frame-aligned, but tag 0xFF names no message.
+            wire.extend_from_slice(&3u32.to_le_bytes());
+            wire.extend_from_slice(&[0xFF, 1, 2]);
+            conn.write_all(&wire).unwrap();
+            // The second delivery leaves only after the first arrived, so
+            // a subscriber that quit at the malformed frame never reads it.
+            go_rx.recv().unwrap();
+            write_frame(&mut conn, &deliver(1)).unwrap();
+            conn.write_all(&u32::MAX.to_le_bytes()).unwrap();
+            // Hand the socket back open: the oversized prefix alone must
+            // end the subscriber, not an EOF.
+            conn
         });
-        let (mut conn, _) = a.accept().unwrap();
-        let err = read_frame(&mut conn).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        client.join().unwrap();
+        let sub = TcpSubscriber::connect(addr, SubscriberId(7)).unwrap();
+        let timeout = std::time::Duration::from_secs(3);
+        let first = sub.deliveries().recv_timeout(timeout).expect("delivery");
+        assert_eq!(first.seq, SeqNo(0));
+        go_tx.send(()).unwrap();
+        let second = sub.deliveries().recv_timeout(timeout).expect("delivery");
+        assert_eq!(second.seq, SeqNo(1));
+        assert!(matches!(
+            sub.deliveries().recv_timeout(timeout),
+            Err(crossbeam::channel::RecvTimeoutError::Disconnected)
+        ));
+        drop(peer.join().unwrap());
     }
 }

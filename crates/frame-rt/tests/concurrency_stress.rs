@@ -20,6 +20,7 @@ use crossbeam::channel::unbounded;
 use frame_clock::{Clock, MonotonicClock};
 use frame_core::{admit, BrokerConfig, BrokerRole, DeliveryTracker};
 use frame_rt::{BackupEffect, RtBroker, RtSystem};
+use frame_telemetry::Telemetry;
 use frame_types::{
     BrokerId, Duration, Message, NetworkParams, PublisherId, SeqNo, SubscriberId, Time, TopicId,
     TopicSpec,
@@ -46,6 +47,8 @@ fn sharded_broker_exactly_once_and_table3_order_under_contention() {
         BrokerConfig::frame(),
         WORKERS,
         clock.clone(),
+        Telemetry::new(),
+        None,
     );
     let net = NetworkParams::paper_example();
     for t in 1..=TOPICS {
@@ -68,7 +71,7 @@ fn sharded_broker_exactly_once_and_table3_order_under_contention() {
     let mut delivery_rx = Vec::new();
     for s in 0..SUBSCRIBER_CHANNELS {
         let (tx, rx) = unbounded();
-        primary.connect_subscriber(SubscriberId(s), tx);
+        primary.connect_subscriber(SubscriberId(s), tx, None);
         delivery_rx.push(rx);
     }
 

@@ -11,10 +11,10 @@ use std::time::Duration as StdDuration;
 
 use frame_clock::{Clock, MonotonicClock};
 use frame_core::{admit, BrokerConfig, BrokerRole};
-use frame_rt::tcp::{read_frame_checked, write_frame, FrameReadError};
 use frame_rt::{
-    Decoded, FrameDecoder, ReactorConfig, ReactorServer, RtBroker, RtSystem, TcpPublisher,
-    TcpSubscriber, WireMsg, MAX_FRAME_LEN,
+    read_frame, read_frame_checked, write_frame, Decoded, FrameDecoder, ReactorConfig,
+    ReactorServer, RtBroker, RtSystem, TcpPublisher, TcpSubscriber, WireCodec, WireMsg,
+    MAX_FRAME_LEN,
 };
 use frame_telemetry::Telemetry;
 use frame_types::{
@@ -46,9 +46,9 @@ fn blocking_outcomes(stream: &[u8]) -> Vec<String> {
     let mut out = Vec::new();
     loop {
         match read_frame_checked(&mut cursor) {
-            Ok(m) => out.push(format!("frame:{m:?}")),
-            Err(FrameReadError::Malformed(_)) => out.push("malformed".to_string()),
-            Err(FrameReadError::Io(_)) => return out, // EOF / truncation
+            Ok(Decoded::Frame(m)) => out.push(format!("frame:{m:?}")),
+            Ok(Decoded::Malformed(_)) => out.push("malformed".to_string()),
+            Err(_) => return out, // EOF / truncation
         }
     }
 }
@@ -180,10 +180,7 @@ fn decoder_reports_truncation_and_rejects_oversized_prefixes() {
 
     // An oversized length prefix is stream corruption for both decoders.
     let huge = ((MAX_FRAME_LEN + 1) as u32).to_le_bytes();
-    assert!(matches!(
-        read_frame_checked(&mut Cursor::new(&huge[..])),
-        Err(FrameReadError::Io(_))
-    ));
+    assert!(read_frame_checked(&mut Cursor::new(&huge[..])).is_err());
     let mut decoder = FrameDecoder::new();
     let fed = decoder.feed(&huge, &mut |_| panic!("no frame can complete"));
     assert!(fed.is_err(), "oversized prefix must be fatal");
@@ -199,13 +196,14 @@ fn reactor_broker() -> (
 ) {
     let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
     let telemetry = Telemetry::new();
-    let (broker, threads) = RtBroker::spawn_with_telemetry(
+    let (broker, threads) = RtBroker::spawn(
         BrokerId(0),
         BrokerRole::Primary,
         BrokerConfig::frame(),
         2,
         clock,
         telemetry.clone(),
+        None,
     );
     let net = NetworkParams::paper_example();
     for t in 0..4u32 {
@@ -250,7 +248,7 @@ fn reactor_serves_pubsub_and_control_plane() {
         .set_read_timeout(Some(StdDuration::from_secs(5)))
         .unwrap();
     write_frame(&mut control, &WireMsg::Stats).unwrap();
-    match read_frame_checked(&mut control).expect("stats answer") {
+    match read_frame(&mut control).expect("stats answer") {
         WireMsg::StatsJson(json) => {
             let snap = frame_telemetry::from_json(&json).expect("snapshot parses");
             assert!(
@@ -262,14 +260,14 @@ fn reactor_serves_pubsub_and_control_plane() {
         other => panic!("expected StatsJson, got {other:?}"),
     }
     write_frame(&mut control, &WireMsg::Trace).unwrap();
-    match read_frame_checked(&mut control).expect("trace answer") {
+    match read_frame(&mut control).expect("trace answer") {
         WireMsg::TraceJson(json) => {
             frame_telemetry::flight_from_json(&json).expect("flight parses");
         }
         other => panic!("expected TraceJson, got {other:?}"),
     }
     write_frame(&mut control, &WireMsg::Promote).unwrap();
-    match read_frame_checked(&mut control).expect("promote answer") {
+    match read_frame(&mut control).expect("promote answer") {
         WireMsg::Promoted(_) => {}
         other => panic!("expected Promoted, got {other:?}"),
     }
@@ -292,7 +290,7 @@ fn reactor_polls_ack_then_go_silent_after_kill() {
         .unwrap();
 
     write_frame(&mut conn, &WireMsg::Poll(11)).unwrap();
-    match read_frame_checked(&mut conn).expect("live broker acks") {
+    match read_frame(&mut conn).expect("live broker acks") {
         WireMsg::PollAck(11) => {}
         other => panic!("expected PollAck(11), got {other:?}"),
     }
@@ -304,9 +302,8 @@ fn reactor_polls_ack_then_go_silent_after_kill() {
     // connection down — never an ack.
     let _ = write_frame(&mut conn, &WireMsg::Poll(12));
     match read_frame_checked(&mut conn) {
-        Err(FrameReadError::Io(_)) => {}
+        Err(_) => {}
         Ok(frame) => panic!("dead broker must stay silent, got {frame:?}"),
-        Err(FrameReadError::Malformed(e)) => panic!("unexpected malformed answer: {e}"),
     }
 
     server.shutdown();
@@ -373,7 +370,7 @@ fn reactor_survives_malformed_frames_and_closes_on_protocol_violation() {
         .unwrap();
     write_frame(&mut conn, &WireMsg::Deliver(msg(0, 1, b"wrong-way"))).unwrap();
     assert!(
-        matches!(read_frame_checked(&mut conn), Err(FrameReadError::Io(_))),
+        read_frame_checked(&mut conn).is_err(),
         "protocol violation must close the connection"
     );
 
@@ -386,13 +383,14 @@ fn reactor_survives_malformed_frames_and_closes_on_protocol_violation() {
 fn reactor_fans_in_hundreds_of_publisher_connections() {
     let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
     let telemetry = Telemetry::new();
-    let (broker, threads) = RtBroker::spawn_with_telemetry(
+    let (broker, threads) = RtBroker::spawn(
         BrokerId(0),
         BrokerRole::Primary,
         BrokerConfig::frame(),
         2,
         clock,
         telemetry.clone(),
+        None,
     );
     let net = NetworkParams::paper_example();
     for t in 0..4u32 {
@@ -425,18 +423,15 @@ fn reactor_fans_in_hundreds_of_publisher_connections() {
     for _ in 0..CONNS {
         conns.push(TcpStream::connect(addr).unwrap());
     }
-    let mut scratch = Vec::new();
+    let mut codec = WireCodec::new();
     for round in 0..PER_CONN {
         for (i, conn) in conns.iter_mut().enumerate() {
             // seq unique per topic: connections sharing a topic differ in
             // i / 4.
             let seq = (i as u64 / 4) * PER_CONN + round;
-            frame_rt::write_frame_into(
-                conn,
-                &WireMsg::Publish(msg(i as u32 % 4, seq, b"fan-in")),
-                &mut scratch,
-            )
-            .unwrap();
+            codec
+                .encode_into(conn, &WireMsg::Publish(msg(i as u32 % 4, seq, b"fan-in")))
+                .unwrap();
         }
     }
     let expected = CONNS as u64 * PER_CONN;
@@ -488,13 +483,14 @@ fn stats_reply_fits_one_frame_at_a_thousand_topics() {
     // the snapshot; the reply must still fit one frame and parse.
     const TOPICS: u32 = 1000;
     let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
-    let (broker, threads) = RtBroker::spawn_with_telemetry(
+    let (broker, threads) = RtBroker::spawn(
         BrokerId(0),
         BrokerRole::Primary,
         BrokerConfig::frame(),
         2,
         clock,
         Telemetry::new(),
+        None,
     );
     let net = NetworkParams::paper_example();
     for t in 0..TOPICS {
@@ -523,7 +519,7 @@ fn stats_reply_fits_one_frame_at_a_thousand_topics() {
         .set_read_timeout(Some(StdDuration::from_secs(30)))
         .unwrap();
     write_frame(&mut control, &WireMsg::Stats).unwrap();
-    match read_frame_checked(&mut control).expect("stats answer") {
+    match read_frame(&mut control).expect("stats answer") {
         WireMsg::StatsJson(json) => {
             eprintln!("stats reply at {TOPICS} topics: {} bytes", json.len());
             assert!(json.len() < MAX_FRAME_LEN);

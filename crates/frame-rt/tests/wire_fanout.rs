@@ -10,6 +10,7 @@ use std::sync::Arc;
 use frame_clock::MonotonicClock;
 use frame_core::{admit, BrokerConfig, BrokerRole};
 use frame_rt::{write_frame, BackupEffect, ReactorServer, RtBroker, TcpPublisher, WireMsg};
+use frame_telemetry::Telemetry;
 use frame_types::wire::encoded_frame_count;
 use frame_types::{
     BrokerId, Message, NetworkParams, PublisherId, SeqNo, SubscriberId, TopicId, TopicSpec,
@@ -38,6 +39,8 @@ fn fanout_of_64_shares_one_encode_and_delivers_identical_bytes() {
         BrokerConfig::frame(),
         2,
         clock,
+        Telemetry::new(),
+        None,
     );
     // Category 2: replication required, so the dispatch also exercises the
     // Table-3 replica/prune emission this test checks the order of.

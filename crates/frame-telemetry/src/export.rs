@@ -635,38 +635,6 @@ pub fn render_prometheus(snapshot: &TelemetrySnapshot) -> String {
             );
         }
     }
-    if snapshot.pool.any() {
-        w.family(
-            "frame_pool_gets_total",
-            "counter",
-            "Buffer-pool rents, by outcome (hit = served warm, miss = allocator fallback).",
-        );
-        w.sample(
-            "frame_pool_gets_total",
-            &[("outcome", "hit")],
-            snapshot.pool.hits,
-        );
-        w.sample(
-            "frame_pool_gets_total",
-            &[("outcome", "miss")],
-            snapshot.pool.misses,
-        );
-        w.family(
-            "frame_pool_puts_total",
-            "counter",
-            "Buffer-pool returns, by outcome (retained = recycled, discarded = dropped).",
-        );
-        w.sample(
-            "frame_pool_puts_total",
-            &[("outcome", "retained")],
-            snapshot.pool.returns,
-        );
-        w.sample(
-            "frame_pool_puts_total",
-            &[("outcome", "discarded")],
-            snapshot.pool.discards,
-        );
-    }
     w.family(
         "frame_shard_contention_total",
         "counter",

@@ -47,9 +47,8 @@ pub use export::{
 pub use histogram::LatencyHistogram;
 pub use metrics::{AtomicHistogram, ShardedCounter};
 pub use profile::{
-    alloc_profiling_enabled, record_pool_get, record_pool_put, record_read_syscalls,
-    record_write_syscalls, register_thread_role, snapshot_pool, snapshot_roles, stamp_thread_cpu,
-    thread_cpu_now_ns, PoolProfileSnapshot, RoleKind, RoleProfileSnapshot,
+    alloc_profiling_enabled, record_read_syscalls, record_write_syscalls, register_thread_role,
+    snapshot_roles, stamp_thread_cpu, thread_cpu_now_ns, RoleKind, RoleProfileSnapshot,
 };
 pub use recorder::{FlightRecorder, FlightSnapshot, Incident, IncidentKind};
 pub use span::{attribute, Attribution, BudgetSlice, BudgetStage, SpanRecord};

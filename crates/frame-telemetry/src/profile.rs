@@ -300,65 +300,6 @@ pub fn record_write_syscalls(n: u64) {
     SLOTS[slot].write_syscalls.fetch_add(n, Ordering::Relaxed);
 }
 
-/// Process-wide buffer-pool counters: `get`s served warm vs. from the
-/// allocator, and `put`s retained vs. discarded. One set of counters for
-/// all pools — the interesting number is whether steady state recycles.
-static POOL_HITS: AtomicU64 = AtomicU64::new(0);
-static POOL_MISSES: AtomicU64 = AtomicU64::new(0);
-static POOL_RETURNS: AtomicU64 = AtomicU64::new(0);
-static POOL_DISCARDS: AtomicU64 = AtomicU64::new(0);
-
-/// Counts one buffer-pool rent: `hit` when served from the free-list,
-/// otherwise a (graceful) fallback to the global allocator.
-pub fn record_pool_get(hit: bool) {
-    if hit {
-        POOL_HITS.fetch_add(1, Ordering::Relaxed);
-    } else {
-        POOL_MISSES.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Counts one buffer-pool return: `retained` when the free-list kept the
-/// buffer, otherwise it was discarded (list full or buffer oversized).
-pub fn record_pool_put(retained: bool) {
-    if retained {
-        POOL_RETURNS.fetch_add(1, Ordering::Relaxed);
-    } else {
-        POOL_DISCARDS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Buffer-pool counters at a point in time (cumulative; diff to scope).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PoolProfileSnapshot {
-    /// Rents served from a free-list (no allocator traffic).
-    pub hits: u64,
-    /// Rents that fell back to the allocator (counted, never an error).
-    pub misses: u64,
-    /// Buffers recycled back into a free-list.
-    pub returns: u64,
-    /// Buffers dropped on return (free-list full or over retention cap).
-    pub discards: u64,
-}
-
-impl PoolProfileSnapshot {
-    /// Whether any pool traffic happened at all (exporters skip the
-    /// gauges otherwise).
-    pub fn any(&self) -> bool {
-        self.hits + self.misses + self.returns + self.discards > 0
-    }
-}
-
-/// Snapshot of the process-wide buffer-pool counters.
-pub fn snapshot_pool() -> PoolProfileSnapshot {
-    PoolProfileSnapshot {
-        hits: POOL_HITS.load(Ordering::Relaxed),
-        misses: POOL_MISSES.load(Ordering::Relaxed),
-        returns: POOL_RETURNS.load(Ordering::Relaxed),
-        discards: POOL_DISCARDS.load(Ordering::Relaxed),
-    }
-}
-
 /// One role's counters at a point in time. Cumulative since process
 /// start; diff two snapshots to scope a measurement.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]

@@ -886,7 +886,6 @@ impl Telemetry {
                 pressure_millionths: inner.overload.pressure_millionths.load(Ordering::Relaxed),
             },
             roles: crate::profile::snapshot_roles(),
-            pool: crate::profile::snapshot_pool(),
         }
     }
 }
@@ -1103,10 +1102,6 @@ pub struct TelemetrySnapshot {
     /// role kind. `default` for pre-profiler snapshots.
     #[serde(default)]
     pub roles: Vec<crate::profile::RoleProfileSnapshot>,
-    /// Buffer-pool recycling counters (wire-codec scratch free-lists).
-    /// `default` for pre-pool snapshots.
-    #[serde(default)]
-    pub pool: crate::profile::PoolProfileSnapshot,
 }
 
 impl TelemetrySnapshot {

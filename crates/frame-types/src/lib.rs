@@ -30,6 +30,6 @@ pub use spec::{Destination, LossTolerance, SubscriberRequirement, TopicSpec};
 pub use time::{Duration, Time};
 pub use trace::{SpanPoint, TraceCtx};
 pub use wire::{
-    BackupEffect, BufferPool, DecodeError, EncodedFrame, FrameSink, FrameWriteQueue, PoolStats,
-    WireCodec, WireMsg, MAX_FRAME_LEN,
+    BackupEffect, DecodeError, EncodedFrame, FrameSink, FrameWriteQueue, WireCodec, WireMsg,
+    MAX_FRAME_LEN,
 };

@@ -4,26 +4,28 @@
 //! length prefix followed by a binary body whose first byte is a message
 //! tag. This module owns that format end to end — the message vocabulary
 //! ([`WireMsg`], [`BackupEffect`]), the one encoder
-//! ([`WireMsg::append_frame`]) and the one decoder ([`WireMsg::decode`]) —
-//! and makes the byte lifecycle around it explicit:
+//! ([`WireMsg::append_frame`]), the one body decoder ([`WireMsg::decode`])
+//! and the one length-prefix parser behind both stream readers — and makes
+//! the byte lifecycle around it explicit:
 //!
 //! - [`EncodedFrame`] — one frame, fully assembled (prefix + body) in a
 //!   refcounted [`Bytes`]. Produced **once** per outbound message and
 //!   shared by every write path that carries it: a fan-out of N
 //!   subscribers clones the handle (a refcount bump), never re-encodes.
-//! - [`WireCodec`] — the encoder. Owns one reusable scratch buffer so a
-//!   warm codec encodes without growing the heap; the buffer can be
-//!   rented from a [`BufferPool`] and returned when a connection closes.
-//! - [`FrameSink`] — the one queueing API both delivery write paths
-//!   (the threaded per-connection writer and the reactor's byte-bounded
-//!   write queues) implement, so drop accounting and flush semantics have
-//!   a single surface.
+//! - [`WireCodec`] — the encoder. Owns one reusable scratch buffer, capped
+//!   at [`SCRATCH_RETAIN_CAP`], so a warm codec encodes without growing
+//!   the heap; [`write_frame`] is the one-shot form.
+//! - [`FrameSink`] — the queueing API of the delivery write path (the
+//!   reactor's byte-bounded write queues), so drop accounting and flush
+//!   semantics have a single surface.
 //! - [`FrameWriteQueue`] — the [`FrameSink`] implementation: a FIFO of
 //!   [`EncodedFrame`]s flushed with `writev`-style vectored writes
 //!   ([`FrameWriteQueue::write_vectored_some`]), resuming cleanly across
 //!   partial writes.
-//! - [`BufferPool`] — a fixed free-list of scratch buffers with counted,
-//!   graceful fallback to the global allocator when exhausted.
+//! - [`FrameDecoder`] — the incremental reader for nonblocking sockets
+//!   and [`read_frame_checked`] / [`read_frame`] — the blocking one. Both
+//!   yield [`Decoded`], which tells a malformed but frame-aligned body
+//!   (drop it, keep reading) from a dead stream (an `io::Error`).
 //!
 //! # Layout
 //!
@@ -36,15 +38,16 @@
 //! Decoding is total: every read is bounds-checked, every length or count
 //! is checked against the bytes left in the body before anything is
 //! reserved, and an unknown tag, a short body or trailing bytes is a
-//! [`DecodeError`] — never a panic.
+//! [`DecodeError`] — never a panic. A length prefix over [`MAX_FRAME_LEN`]
+//! is stream corruption, reported as `InvalidData`.
 //!
-//! This crate stays passive — no threads, no sockets; the queue writes
-//! into any [`std::io::Write`] the runtime hands it.
+//! This crate stays passive — no threads, no sockets; the readers and
+//! writers work over any [`std::io::Read`] / [`std::io::Write`] the
+//! runtime hands them.
 
 use std::collections::VecDeque;
-use std::io::{IoSlice, Write};
+use std::io::{IoSlice, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use bytes::Bytes;
 
@@ -506,23 +509,23 @@ impl EncodedFrame {
     pub fn decode(&self) -> Result<WireMsg, DecodeError> {
         WireMsg::decode(self.body())
     }
-
-    /// Writes the whole frame with one `write_all` (one syscall on an
-    /// unbuffered socket).
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    pub fn write_to<W: Write>(&self, writer: &mut W) -> std::io::Result<()> {
-        writer.write_all(self.bytes.as_ref())
-    }
 }
 
-/// Largest scratch capacity a [`WireCodec`] keeps between frames. A frame
-/// beyond it (bodies may reach [`MAX_FRAME_LEN`]) is assembled in a
-/// buffer that is freed right after, so one huge frame cannot pin up to
-/// 16 MiB for the life of a long-lived codec.
+/// Largest buffer capacity a [`WireCodec`] or [`FrameDecoder`] keeps
+/// between frames. A frame beyond it (bodies may reach [`MAX_FRAME_LEN`])
+/// is assembled or received in a buffer that is freed right after, so one
+/// huge frame cannot pin up to 16 MiB for the life of a connection.
 pub const SCRATCH_RETAIN_CAP: usize = 64 * 1024;
+
+/// Empties `buf` for the next frame, or frees it when the last frame grew
+/// it past [`SCRATCH_RETAIN_CAP`].
+fn recycle(buf: &mut Vec<u8>) {
+    if buf.capacity() > SCRATCH_RETAIN_CAP {
+        *buf = Vec::new();
+    } else {
+        buf.clear();
+    }
+}
 
 /// The frame encoder: one reusable scratch buffer for frame assembly, so
 /// a warm codec encodes without touching the allocator for its own
@@ -538,18 +541,6 @@ impl WireCodec {
     /// A codec with an empty scratch buffer (it warms up on first use).
     pub fn new() -> WireCodec {
         WireCodec::default()
-    }
-
-    /// A codec over a rented scratch buffer (see [`BufferPool`]); return
-    /// it with [`WireCodec::into_buffer`] when the connection closes.
-    pub fn with_buffer(mut frame: Vec<u8>) -> WireCodec {
-        frame.clear();
-        WireCodec { frame }
-    }
-
-    /// Surrenders the scratch buffer for pooling.
-    pub fn into_buffer(self) -> Vec<u8> {
-        self.frame
     }
 
     /// Assembles `msg` in the scratch; returns the frame as a slice valid
@@ -569,7 +560,7 @@ impl WireCodec {
     /// An oversized body is `InvalidData`.
     pub fn encode(&mut self, msg: &WireMsg) -> std::io::Result<EncodedFrame> {
         let frame = EncodedFrame::from_assembled(Bytes::copy_from_slice(self.assemble(msg)?));
-        self.trim();
+        recycle(&mut self.frame);
         Ok(frame)
     }
 
@@ -582,15 +573,157 @@ impl WireCodec {
     /// Propagates encoding and socket errors.
     pub fn encode_into<W: Write>(&mut self, writer: &mut W, msg: &WireMsg) -> std::io::Result<()> {
         let written = writer.write_all(self.assemble(msg)?);
-        self.trim();
+        recycle(&mut self.frame);
         written
     }
+}
 
-    /// Frees a scratch that the last frame grew past [`SCRATCH_RETAIN_CAP`].
-    fn trim(&mut self) {
-        if self.frame.capacity() > SCRATCH_RETAIN_CAP {
-            self.frame = Vec::new();
+/// Writes one frame with a single `write_all`, so the prefix never leaves
+/// as its own segment on a `TCP_NODELAY` socket. One-shot form of
+/// [`WireCodec::encode_into`]; callers that write repeatedly keep a codec.
+///
+/// # Errors
+///
+/// Propagates encoding and socket errors.
+pub fn write_frame<W: Write>(writer: &mut W, msg: &WireMsg) -> std::io::Result<()> {
+    WireCodec::new().encode_into(writer, msg)
+}
+
+/// The body length a length prefix announces. The only code that parses a
+/// prefix: [`read_frame_checked`] and [`FrameDecoder::feed`] both call it.
+///
+/// # Errors
+///
+/// A length over [`MAX_FRAME_LEN`] is `InvalidData` — the stream can no
+/// longer be trusted to be frame-aligned.
+fn announced_len(prefix: [u8; 4]) -> std::io::Result<usize> {
+    let len = u32::from_le_bytes(prefix) as usize;
+    if len > MAX_FRAME_LEN {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "frame exceeds sanity limit",
+        ));
+    }
+    Ok(len)
+}
+
+/// One frame read off a stream.
+#[derive(Debug)]
+pub enum Decoded {
+    /// A complete, parseable frame.
+    Frame(WireMsg),
+    /// A complete frame whose body did not parse. The frame was consumed
+    /// whole, so the stream is still frame-aligned: a reader may log, drop
+    /// the frame and keep reading, and one misbehaving peer cannot take a
+    /// shared connection down mid-protocol.
+    Malformed(String),
+}
+
+impl Decoded {
+    fn of(body: &[u8]) -> Decoded {
+        match WireMsg::decode(body) {
+            Ok(msg) => Decoded::Frame(msg),
+            Err(e) => Decoded::Malformed(e.to_string()),
         }
+    }
+}
+
+/// Reads one frame from a blocking stream.
+///
+/// # Errors
+///
+/// Socket errors, truncation mid-frame and an oversized length prefix —
+/// every case where the stream is no longer frame-aligned, clean EOF
+/// included as `UnexpectedEof`. A malformed body is `Ok`
+/// ([`Decoded::Malformed`]).
+pub fn read_frame_checked<R: Read>(stream: &mut R) -> std::io::Result<Decoded> {
+    let mut prefix = [0u8; 4];
+    stream.read_exact(&mut prefix)?;
+    let mut body = vec![0u8; announced_len(prefix)?];
+    stream.read_exact(&mut body)?;
+    Ok(Decoded::of(&body))
+}
+
+/// Reads one frame from a blocking stream, treating a malformed body as
+/// an error too.
+///
+/// # Errors
+///
+/// As [`read_frame_checked`], plus `InvalidData` for a malformed body. Use
+/// [`read_frame_checked`] to keep reading past one.
+pub fn read_frame<R: Read>(stream: &mut R) -> std::io::Result<WireMsg> {
+    match read_frame_checked(stream)? {
+        Decoded::Frame(msg) => Ok(msg),
+        Decoded::Malformed(e) => Err(std::io::Error::new(std::io::ErrorKind::InvalidData, e)),
+    }
+}
+
+/// Incremental, sans-IO mirror of [`read_frame_checked`] for nonblocking
+/// sockets: bytes are fed in whatever chunks the kernel hands back —
+/// mid-prefix, mid-body, many frames at once — and completed frames come
+/// out through the sink in order. Keep one per connection.
+#[derive(Debug, Default)]
+pub struct FrameDecoder {
+    prefix: [u8; 4],
+    prefix_filled: usize,
+    in_body: bool,
+    body_target: usize,
+    body: Vec<u8>,
+}
+
+impl FrameDecoder {
+    /// A decoder at the start of a frame boundary.
+    pub fn new() -> FrameDecoder {
+        FrameDecoder::default()
+    }
+
+    /// Consumes `chunk`, invoking `sink` once per completed frame.
+    ///
+    /// # Errors
+    ///
+    /// An oversized length prefix (> [`MAX_FRAME_LEN`]) is unrecoverable —
+    /// the stream can no longer be trusted to be frame-aligned — and is
+    /// returned as `InvalidData`; the decoder must not be fed again.
+    pub fn feed(
+        &mut self,
+        mut chunk: &[u8],
+        sink: &mut impl FnMut(Decoded),
+    ) -> std::io::Result<()> {
+        loop {
+            if !self.in_body {
+                if chunk.is_empty() {
+                    return Ok(());
+                }
+                let take = (4 - self.prefix_filled).min(chunk.len());
+                self.prefix[self.prefix_filled..self.prefix_filled + take]
+                    .copy_from_slice(&chunk[..take]);
+                self.prefix_filled += take;
+                chunk = &chunk[take..];
+                if self.prefix_filled < 4 {
+                    return Ok(());
+                }
+                self.body_target = announced_len(self.prefix)?;
+                self.in_body = true;
+            }
+            let take = (self.body_target - self.body.len()).min(chunk.len());
+            self.body.extend_from_slice(&chunk[..take]);
+            chunk = &chunk[take..];
+            if self.body.len() < self.body_target {
+                return Ok(());
+            }
+            let decoded = Decoded::of(&self.body);
+            self.prefix_filled = 0;
+            self.in_body = false;
+            recycle(&mut self.body);
+            sink(decoded);
+        }
+    }
+
+    /// Whether bytes of an unfinished frame are buffered — at EOF this
+    /// means the peer truncated mid-frame (the blocking reader's
+    /// `UnexpectedEof`).
+    pub fn is_mid_frame(&self) -> bool {
+        self.prefix_filled > 0 || self.in_body
     }
 }
 
@@ -771,106 +904,6 @@ impl FrameSink for FrameWriteQueue {
     }
 }
 
-/// Counters describing a [`BufferPool`]'s behaviour since creation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// `get` calls served from the free-list.
-    pub hits: u64,
-    /// `get` calls that fell back to the allocator (pool empty). A miss is
-    /// counted, never an error: exhaustion degrades to plain allocation.
-    pub misses: u64,
-    /// Buffers returned to the free-list by `put`.
-    pub returns: u64,
-    /// Buffers dropped by `put` (free-list full, or buffer over the
-    /// retention cap — one huge frame must not pin its buffer forever).
-    pub discards: u64,
-}
-
-/// A fixed free-list of scratch buffers (decoder bodies, codec scratch).
-///
-/// `get` pops a warm buffer or — when the pool is empty — falls back to
-/// the global allocator, counting the miss. `put` returns a buffer unless
-/// the list is full or the buffer outgrew the retention cap. All paths are
-/// non-panicking; exhaustion is a counter, not a failure.
-#[derive(Debug)]
-pub struct BufferPool {
-    slots: Mutex<Vec<Vec<u8>>>,
-    max_slots: usize,
-    /// Buffers with capacity above this are not retained on `put`.
-    retain_cap: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    returns: AtomicU64,
-    discards: AtomicU64,
-}
-
-impl BufferPool {
-    /// A pool retaining up to `max_slots` buffers of at most `retain_cap`
-    /// capacity each. Usable in statics.
-    pub const fn new(max_slots: usize, retain_cap: usize) -> BufferPool {
-        BufferPool {
-            slots: Mutex::new(Vec::new()),
-            max_slots,
-            retain_cap,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            returns: AtomicU64::new(0),
-            discards: AtomicU64::new(0),
-        }
-    }
-
-    /// A cleared scratch buffer: pooled when available, freshly allocated
-    /// (and counted as a miss) when not. Returns whether it was a hit
-    /// alongside the buffer so callers can mirror the counter into
-    /// telemetry.
-    pub fn get(&self) -> (Vec<u8>, bool) {
-        let pooled = self.slots.lock().ok().and_then(|mut slots| slots.pop());
-        match pooled {
-            Some(mut buf) => {
-                buf.clear();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                (buf, true)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                (Vec::new(), false)
-            }
-        }
-    }
-
-    /// Returns a buffer to the free-list; oversized buffers and overflow
-    /// beyond `max_slots` are dropped (counted). Returns whether the
-    /// buffer was retained.
-    pub fn put(&self, buf: Vec<u8>) -> bool {
-        if buf.capacity() <= self.retain_cap {
-            if let Ok(mut slots) = self.slots.lock() {
-                if slots.len() < self.max_slots {
-                    slots.push(buf);
-                    self.returns.fetch_add(1, Ordering::Relaxed);
-                    return true;
-                }
-            }
-        }
-        self.discards.fetch_add(1, Ordering::Relaxed);
-        false
-    }
-
-    /// Buffers currently on the free-list.
-    pub fn available(&self) -> usize {
-        self.slots.lock().map(|s| s.len()).unwrap_or(0)
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            returns: self.returns.load(Ordering::Relaxed),
-            discards: self.discards.load(Ordering::Relaxed),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -993,26 +1026,11 @@ mod tests {
         let mut inline = Vec::new();
         codec.encode_into(&mut inline, &huge).unwrap();
         assert_eq!(inline, frame.as_bytes());
-        assert!(codec.into_buffer().capacity() <= SCRATCH_RETAIN_CAP);
+        assert!(codec.frame.capacity() <= SCRATCH_RETAIN_CAP);
         // Frames under the cap keep their warm scratch.
         let mut codec = WireCodec::new();
         codec.encode(&probe(1)).unwrap();
-        assert!(codec.into_buffer().capacity() > 0);
-    }
-
-    #[test]
-    fn codec_scratch_rents_and_returns() {
-        let pool = BufferPool::new(4, 1 << 20);
-        let (frame, hit) = pool.get();
-        assert!(!hit, "fresh pool misses");
-        let mut codec = WireCodec::with_buffer(frame);
-        let encoded = codec.encode(&probe(1)).unwrap();
-        assert_eq!(encoded.decode().unwrap(), probe(1));
-        let frame = codec.into_buffer();
-        assert!(frame.capacity() > 0, "scratch warmed up");
-        assert!(pool.put(frame));
-        let (_, hit) = pool.get();
-        assert!(hit, "warm buffer comes back");
+        assert!(codec.frame.capacity() > 0);
     }
 
     #[test]
@@ -1113,26 +1131,63 @@ mod tests {
     }
 
     #[test]
-    fn pool_exhaustion_falls_back_to_the_allocator_counted() {
-        let pool = BufferPool::new(2, 1024);
-        // Warm two slots.
-        assert!(pool.put(Vec::with_capacity(64)));
-        assert!(pool.put(Vec::with_capacity(64)));
-        // Draw three: two hits, then a graceful (counted) allocator miss.
-        let (a, h1) = pool.get();
-        let (b, h2) = pool.get();
-        let (c, h3) = pool.get();
-        assert!(h1 && h2 && !h3);
-        let s = pool.stats();
-        assert_eq!((s.hits, s.misses), (2, 1));
-        // Returns beyond capacity and oversized buffers are discarded,
-        // never a panic.
-        assert!(pool.put(a) && pool.put(b));
-        assert!(!pool.put(c), "free-list full: dropped");
-        assert!(!pool.put(Vec::with_capacity(4096)), "over retain cap");
-        let s = pool.stats();
-        // The two warm-up puts count as returns too.
-        assert_eq!((s.returns, s.discards), (4, 2));
+    fn replica_batch_frame_round_trips() {
+        let m = Message::new(
+            TopicId(1),
+            PublisherId(0),
+            SeqNo(0),
+            Time::ZERO,
+            &b"0123456789abcdef"[..],
+        );
+        let key = m.key();
+        let frame = WireMsg::ReplicaBatch(vec![BackupEffect::Replica(m), BackupEffect::Prune(key)]);
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &frame).unwrap();
+        // One buffer = one write_all: the prefix must be inside the frame.
+        assert_eq!(wire[..4], (wire.len() as u32 - 4).to_le_bytes());
+        match read_frame(&mut wire.as_slice()).unwrap() {
+            WireMsg::ReplicaBatch(batch) => {
+                assert_eq!(batch.len(), 2);
+                assert!(matches!(batch[0], BackupEffect::Replica(_)));
+                assert!(matches!(&batch[1], BackupEffect::Prune(k) if *k == key));
+            }
+            other => panic!("expected ReplicaBatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn read_frame_checked_classifies_errors() {
+        // Malformed body: consumed whole, classified recoverable.
+        let body = b"not json at all";
+        let mut wire = Vec::new();
+        wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        wire.extend_from_slice(body);
+        let mut stream = wire.as_slice();
+        assert!(matches!(
+            read_frame_checked(&mut stream),
+            Ok(Decoded::Malformed(_))
+        ));
+        assert!(stream.is_empty(), "the malformed frame is consumed whole");
+
+        // Truncated frame (prefix promises more than the stream holds):
+        // an I/O error, the stream is no longer trustworthy.
+        let mut wire = Vec::new();
+        wire.extend_from_slice(&16u32.to_le_bytes());
+        wire.extend_from_slice(b"short");
+        let err = read_frame_checked(&mut wire.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn frame_codec_rejects_oversized() {
+        let mut wire = u32::MAX.to_le_bytes().to_vec();
+        wire.extend_from_slice(&[0u8; 16]);
+        let err = read_frame(&mut wire.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let err = FrameDecoder::new()
+            .feed(&wire, &mut |d| panic!("decoded {d:?}"))
+            .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]
