@@ -1,4 +1,4 @@
-//! Worker-pool throughput of the sharded threaded broker.
+//! Worker-pool throughput of the threaded broker.
 //!
 //! Measures end-to-end broker throughput (publish → admit → schedule →
 //! dispatch → subscriber hand-off) for 1/2/4/8 delivery workers under EDF
@@ -11,8 +11,9 @@
 //! subscriber hosts, and that blocked time — not broker CPU — is what a
 //! worker pool overlaps. In-process channels erase it, which would make
 //! pool sizing invisible on CPU-starved runners; restoring it makes the
-//! scaling curve reflect the architecture (per-topic shard locks + a
-//! short scheduler lock) rather than the host's core count.
+//! scaling curve reflect the architecture (one broker lock + per-topic
+//! claims, effects sent outside the lock) rather than the host's core
+//! count.
 //!
 //! Custom harness (`harness = false`): run with
 //! `cargo bench -p frame-bench --bench broker_throughput` (add `--quick`
@@ -251,8 +252,8 @@ fn main() {
         alloc_profiling: frame_telemetry::alloc_profiling_enabled(),
         note: "Each job carries an emulated downstream wire service time \
                (set_job_service_time), so msgs/sec reflects how well the \
-               worker pool overlaps dispatch work under the two-plane \
-               locking design, independent of host core count. Per-run \
+               worker pool overlaps dispatch work under the one-lock + \
+               claim design, independent of host core count. Per-run \
                `roles` rows attribute allocations, CPU and syscalls to \
                broker roles via the frame-telemetry profile table; \
                `allocs_per_msg` sums the hot-path roles.",

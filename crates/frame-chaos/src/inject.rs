@@ -66,7 +66,7 @@ pub struct ChaosInjector {
     telemetry: Telemetry,
     clock: MonotonicClock,
     log: Mutex<BTreeSet<InjectedFault>>,
-    /// Primary→Backup emission order, as observed under the shard lock —
+    /// Primary→Backup emission order, as observed under the topic's claim —
     /// the Table-3 evidence stream.
     backup_order: Mutex<Vec<BackupObservation>>,
     /// Rules already logged for surfaces without a frame identity

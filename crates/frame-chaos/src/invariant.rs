@@ -1,7 +1,7 @@
 //! The post-run invariant checker: replays a chaos run's evidence and
 //! asserts the paper's guarantees held *despite* the injected faults.
 //!
-//! Four checks, one per guarantee:
+//! One check per guarantee:
 //!
 //! * **Lemma 1 (loss bound)** — for every topic with a finite `L_i`, no
 //!   subscriber observed more than `L_i` consecutive missing sequence
@@ -16,12 +16,16 @@
 //!   recorder.
 //! * **Table 3 (replica before prune)** — in the Primary's emission
 //!   stream, no `(topic, seq)` is ever pruned before it was replicated.
-//!   Evidence: the injector's emission-order observations, captured under
-//!   the shard lock.
+//!   Evidence: the injector's emission-order observations, captured while
+//!   the emitting worker holds the topic's claim.
 //! * **Exactly-once dispatch** — without a crash or scripted duplication,
 //!   every delivered sequence arrives exactly once; with them, duplicates
 //!   are allowed only where the script explains them (fail-over re-sends
 //!   of retained messages, `duplicate` fault windows).
+//! * **Per-topic order** — each subscriber sees a topic's sequence numbers
+//!   first arrive in increasing order, unless a scripted cause explains
+//!   the inversion. Every seq-gap loss counter assumes this order.
+//!   Evidence: first arrivals in channel order, per subscriber and topic.
 
 use std::collections::BTreeMap;
 
@@ -35,10 +39,16 @@ use crate::plan::{Action, FaultPlan, Surface};
 /// Delivery counts per subscriber: `(subscriber, topic) → seq → count`.
 pub type DeliveryCounts = BTreeMap<(u32, u32), BTreeMap<u64, u32>>;
 
+/// First arrivals per subscriber: `(subscriber, topic) → seqs`, in the
+/// order the subscriber's channel yielded them (duplicates left out).
+pub type ArrivalOrder = BTreeMap<(u32, u32), Vec<u64>>;
+
 /// Everything the checker replays.
 pub struct ChaosEvidence {
     /// Subscriber-side delivery counts from the runner's channels.
     pub delivered: DeliveryCounts,
+    /// Subscriber-side first arrivals, in channel order.
+    pub arrivals: ArrivalOrder,
     /// Primary→Backup emission order from the injector.
     pub backup_order: Vec<BackupObservation>,
     /// `(topic, seq)` of every `DeadlineMiss` incident in the flight
@@ -98,6 +108,7 @@ pub fn check(plan: &FaultPlan, evidence: &ChaosEvidence) -> Verdict {
         check_table3_order(evidence),
         check_dispatch_multiplicity(plan, evidence),
         check_overload_ladder(plan, evidence),
+        check_in_order_delivery(plan, evidence),
     ];
     Verdict {
         passed: checks.iter().all(|c| c.passed),
@@ -326,6 +337,49 @@ fn loss_has_fault_cause(plan: &FaultPlan, topic: u32, seq: u64) -> bool {
     false
 }
 
+/// Per-topic order: for every (subscriber, topic), sequence numbers first
+/// arrive strictly increasing. An inversion — a seq arriving after a
+/// larger one — is explained only when one of its two seqs has a scripted
+/// cause by [`loss_has_fault_cause`]: a frame-surface fault rule (a
+/// delayed, duplicated or dropped frame may be overtaken), or the
+/// crash-recovery window. The crash exemption exists because a promoted
+/// Backup's recovery jobs and the publishers' re-sends share one EDF
+/// queue, so a re-send can overtake the recovery of an older seq; the
+/// cross-promotion ordering contract is still open (ROADMAP item 7(c)).
+fn check_in_order_delivery(plan: &FaultPlan, evidence: &ChaosEvidence) -> CheckResult {
+    let mut violations = Vec::new();
+    let mut explained = 0usize;
+    for ((sub, topic), seqs) in &evidence.arrivals {
+        for pair in seqs.windows(2) {
+            let (earlier, later) = (pair[0], pair[1]);
+            if later > earlier {
+                continue;
+            }
+            if loss_has_fault_cause(plan, *topic, earlier)
+                || loss_has_fault_cause(plan, *topic, later)
+            {
+                explained += 1;
+            } else {
+                violations.push(format!(
+                    "topic {topic} subscriber {sub}: seq {later} arrived after seq {earlier}"
+                ));
+            }
+        }
+    }
+    CheckResult {
+        name: "in_order_delivery".into(),
+        passed: violations.is_empty(),
+        detail: if violations.is_empty() {
+            format!(
+                "{} subscriber/topic streams in order; {explained} inversions scripted",
+                evidence.arrivals.len()
+            )
+        } else {
+            violations.join("; ")
+        },
+    }
+}
+
 /// Overload ladder: every controller decision is safe and attributed.
 ///
 /// * no `LoadShed` ever lands on a hard topic (`L_i = 0`) — the shard's
@@ -461,8 +515,13 @@ mod tests {
     }
 
     fn evidence(delivered: DeliveryCounts) -> ChaosEvidence {
+        let arrivals = delivered
+            .iter()
+            .map(|(key, counts)| (*key, counts.keys().copied().collect()))
+            .collect();
         ChaosEvidence {
             delivered,
+            arrivals,
             backup_order: Vec::new(),
             deadline_misses: Vec::new(),
             sheds: Vec::new(),
@@ -473,7 +532,7 @@ mod tests {
     fn clean_run_passes_everything() {
         let v = check(&plan(BASE), &evidence(full_delivery(8)));
         assert!(v.passed, "{}", v.render());
-        assert_eq!(v.checks.len(), 5);
+        assert_eq!(v.checks.len(), 6);
     }
 
     #[test]
@@ -691,5 +750,33 @@ mod tests {
         e.backup_order.truncate(2);
         let v = check(&plan(BASE), &e);
         assert!(v.checks[2].passed);
+    }
+
+    #[test]
+    fn unscripted_inversion_fails_in_order_delivery() {
+        let mut e = evidence(full_delivery(8));
+        e.arrivals.insert((1, 1), vec![0, 1, 3, 2, 4, 5, 6, 7]);
+        let v = check(&plan(BASE), &e);
+        assert!(!v.checks[5].passed);
+        assert!(
+            v.checks[5].detail.contains("seq 2 arrived after seq 3"),
+            "{}",
+            v.checks[5].detail
+        );
+
+        // A delay window over seq 3 explains its being overtaken.
+        let scripted = format!(
+            "{BASE}
+            [[faults]]
+            hop = \"broker_to_subscriber\"
+            action = \"delay\"
+            delay_ms = 50
+            topic = 1
+            from_seq = 3
+            until_seq = 4
+        "
+        );
+        let v = check(&plan(&scripted), &e);
+        assert!(v.checks[5].passed, "{}", v.checks[5].detail);
     }
 }

@@ -43,7 +43,7 @@ pub mod runner;
 pub mod toml;
 
 pub use inject::{BackupObservation, ChaosInjector, InjectedFault};
-pub use invariant::{check, ChaosEvidence, CheckResult, DeliveryCounts, Verdict};
+pub use invariant::{check, ArrivalOrder, ChaosEvidence, CheckResult, DeliveryCounts, Verdict};
 pub use plan::{
     Action, CheckPolicy, CompiledRule, CrashRule, DelaySource, DetectorRule, FaultPlan, FaultRule,
     OverloadRule, PlanTopic, Surface,

@@ -28,7 +28,7 @@ use frame_telemetry::{HeartbeatKind, IncidentKind, Stage, Telemetry};
 use frame_types::{Duration, FrameError, NetworkParams, PublisherId, SubscriberId, Time, TopicId};
 
 use crate::inject::{ChaosInjector, InjectedFault};
-use crate::invariant::{self, ChaosEvidence, DeliveryCounts, Verdict};
+use crate::invariant::{self, ArrivalOrder, ChaosEvidence, DeliveryCounts, Verdict};
 use crate::plan::{Action, DelaySource, FaultPlan};
 
 /// Everything a finished chaos run produces.
@@ -366,13 +366,12 @@ pub fn run(plan: &FaultPlan, seed: u64) -> Result<ChaosReport, FrameError> {
                 let _ = driver.publisher.publish(TopicId(topic.id), payload);
             }
             next_seq += 1;
-            // Let each burst iteration land before the next: two dispatch
-            // jobs of the same topic in the queue at once can invert at
-            // the shard lock (whichever worker locks first delivers
-            // first), and an inversion reads as a sequence gap — i.e. the
-            // loss accounting would be race-determined, not
-            // schedule-determined. Offered-rate pressure is counter-based,
-            // so the overload controller sees the burst all the same.
+            // Let each burst iteration land before the next, so what each
+            // sub-step samples is schedule-determined, not race-determined
+            // (per-topic delivery order itself is kept by the broker's
+            // per-topic claim; `in_order_delivery` checks it). Offered-rate
+            // pressure is counter-based, so the overload controller sees
+            // the burst all the same.
             driver.quiesce();
         }
         let mut remaining = plan.pace_ms.max(1);
@@ -413,13 +412,19 @@ pub fn run(plan: &FaultPlan, seed: u64) -> Result<ChaosReport, FrameError> {
 
     // Everything has quiesced; the channels just need emptying.
     let mut delivered: DeliveryCounts = BTreeMap::new();
+    let mut arrivals: ArrivalOrder = BTreeMap::new();
     for (sub, rx) in &receivers {
         while let Ok(d) = rx.recv_timeout(StdDuration::from_millis(100)) {
-            *delivered
-                .entry((*sub, d.message.topic.0))
+            let key = (*sub, d.message.topic.0);
+            let count = delivered
+                .entry(key)
                 .or_default()
                 .entry(d.message.seq.0)
-                .or_insert(0) += 1;
+                .or_insert(0);
+            if *count == 0 {
+                arrivals.entry(key).or_default().push(d.message.seq.0);
+            }
+            *count += 1;
         }
     }
 
@@ -441,6 +446,7 @@ pub fn run(plan: &FaultPlan, seed: u64) -> Result<ChaosReport, FrameError> {
     let sheds: Vec<(u32, u64)> = sheds.into_iter().collect();
     let evidence = ChaosEvidence {
         delivered: delivered.clone(),
+        arrivals,
         backup_order: injector.backup_order(),
         deadline_misses: deadline_misses.clone(),
         sheds: sheds.clone(),

@@ -8,18 +8,21 @@
 //! This keeps every line of the paper's architecture testable in isolation
 //! and identical across execution environments.
 //!
-//! Internally the broker is split into two planes (see [`crate::shard`]):
-//! a per-topic [`TopicShard`] map holding all topic-local state, and a
-//! [`Scheduler`] holding the job queue. This facade drives both
-//! single-threaded; the threaded runtime in `frame-rt` drives the same
-//! planes with one lock per shard plus a short scheduler lock.
+//! Internally the broker keeps one per-topic shard (buffers and Table-3
+//! flags) per registered topic and one job queue. Two drive protocols run
+//! the same state machine: the pop-based [`Broker::take_job`] +
+//! [`Broker::finish_job`] (the simulator, the benches), and the claim
+//! path [`Broker::claim`] → [`Broker::run_claimed`] → [`Broker::release`]
+//! for a worker pool. The threaded runtime in `frame-rt` holds one
+//! `Broker` behind one lock and drives the claim path.
 //!
 //! # Mapping to the paper (Fig 4, Table 3)
 //!
 //! * Message Proxy / Job Generator → [`Broker::on_message`]: copy into the
 //!   Message Buffer, compute absolute deadlines, create dispatch (and,
 //!   unless Proposition 1 suppresses it, replication) jobs.
-//! * EDF Job Queue → the [`Scheduler`] behind [`Broker::take_job`].
+//! * EDF Job Queue → the job queue behind [`Broker::take_job`] and
+//!   [`Broker::claim`].
 //! * Message Delivery (Dispatchers/Replicators) → [`Broker::take_job`] +
 //!   [`Broker::finish_job`]; the runtime executes the returned [`Effect`]s.
 //! * Dispatch–replicate coordination (Table 3) → flag handling inside
@@ -48,7 +51,7 @@ use frame_types::{
 use serde::{Deserialize, Serialize};
 
 use crate::bounds::AdmittedTopic;
-use crate::job::{BufferSource, Job, Scheduler, SchedulingPolicy};
+use crate::job::{BufferSource, Job, JobKind, Scheduler, SchedulingPolicy};
 use crate::overload::{
     ControlAction, OverloadConfig, OverloadController, PressureSample, TopicClass,
 };
@@ -219,33 +222,6 @@ pub struct BrokerStats {
     pub messages_shed: u64,
 }
 
-impl BrokerStats {
-    /// Adds every counter of `other` into `self`. Used by sharded runtimes
-    /// that keep one `BrokerStats` per topic shard and fold them on demand
-    /// (`queue_high_watermark` folds as a max, since it is a watermark, not
-    /// a count).
-    pub fn merge(&mut self, other: &BrokerStats) {
-        self.messages_in += other.messages_in;
-        self.dispatches += other.dispatches;
-        self.replications += other.replications;
-        self.replications_suppressed += other.replications_suppressed;
-        self.replications_aborted += other.replications_aborted;
-        self.replications_cancelled += other.replications_cancelled;
-        self.stale_jobs_skipped += other.stale_jobs_skipped;
-        self.prunes_sent += other.prunes_sent;
-        self.prunes_applied += other.prunes_applied;
-        self.replicas_received += other.replicas_received;
-        self.recovery_dispatches += other.recovery_dispatches;
-        self.recovery_skipped += other.recovery_skipped;
-        self.resends_in += other.resends_in;
-        self.evicted_undispatched += other.evicted_undispatched;
-        self.dispatch_deadline_misses += other.dispatch_deadline_misses;
-        self.replication_deadline_misses += other.replication_deadline_misses;
-        self.queue_high_watermark = self.queue_high_watermark.max(other.queue_high_watermark);
-        self.messages_shed += other.messages_shed;
-    }
-}
-
 /// The FRAME broker state machine. See the module docs for the driving
 /// protocol.
 pub struct Broker {
@@ -308,7 +284,6 @@ impl Broker {
             queue_depth: self.sched.len() as u64,
             offered_total: self.stats.messages_in + self.stats.messages_shed,
             miss_total: self.stats.dispatch_deadline_misses,
-            queue_wait_p99: frame_types::Duration::ZERO,
         };
         let outcome = controller.tick(now, sample);
         if let Some((from, to)) = outcome.transition {
@@ -463,11 +438,15 @@ impl Broker {
             .get_mut(&topic_id)
             .ok_or(FrameError::UnknownTopic(topic_id))?;
         if self.telemetry.is_enabled() {
-            // Single-threaded facade: proxy receipt and admission collapse
-            // into one instant (no shard lock to wait on).
+            // Proxy receipt and admission collapse into `now` unless the
+            // embedding stamped them itself: a threaded one stamps both
+            // around its wait for the broker lock.
             let trace = message.trace.get_or_insert_with(TraceCtx::new);
-            trace.stamp(SpanPoint::ProxyRecv, now);
-            trace.stamp(SpanPoint::Admitted, now);
+            for point in [SpanPoint::ProxyRecv, SpanPoint::Admitted] {
+                if trace.get(point).is_none() {
+                    trace.stamp(point, now);
+                }
+            }
         }
         shard.admit(
             message,
@@ -491,21 +470,9 @@ impl Broker {
     pub fn take_job(&mut self, now: Time) -> Option<ActiveJob> {
         loop {
             let job = self.sched.pop()?;
-            self.telemetry
-                .record_stage(Stage::QueueWait, now.saturating_since(job.release));
-            let Some(shard) = self.shards.get_mut(&job.topic) else {
-                continue;
-            };
-            match shard.resolve(job, self.config.coordination, now, &mut self.stats) {
-                Resolution::Active(mut active) => {
-                    if let Some(trace) = active.message.trace.as_mut() {
-                        // Single-threaded facade: pop and "lock" coincide.
-                        trace.stamp(SpanPoint::Popped, now);
-                        trace.stamp(SpanPoint::Locked, now);
-                    }
-                    return Some(active);
-                }
-                Resolution::Skipped => continue,
+            // Single-threaded: pop and "lock" coincide.
+            if let Some(active) = self.resolve(job, now, now) {
+                return Some(active);
             }
         }
     }
@@ -513,16 +480,11 @@ impl Broker {
     /// Message Delivery completion: the runtime executed `active` (spending
     /// the appropriate service time) and now commits its effects.
     pub fn finish_job(&mut self, active: &ActiveJob, now: Time) -> Vec<Effect> {
-        let Some(shard) = self.shards.get_mut(&active.job.topic) else {
-            return Vec::new();
-        };
-        let outcome = shard.finish(active, self.config.coordination, now, &mut self.stats);
-        if let Some(id) = outcome.cancel {
-            self.sched.cancel(id);
-        }
+        let mut effects = Vec::new();
+        self.finish_into(active, now, &mut effects);
         // One SLO/flight record per dispatched message (not per subscriber):
         // the Deliver effects all carry the same message and span timeline.
-        if let Some(message) = outcome.effects.iter().find_map(|e| match e {
+        if let Some(message) = effects.iter().find_map(|e| match e {
             Effect::Deliver { message, .. } => Some(message),
             _ => None,
         }) {
@@ -534,7 +496,77 @@ impl Broker {
                 message.trace.as_ref(),
             );
         }
-        outcome.effects
+        effects
+    }
+
+    /// Worker-pool entry point: pops the next job whose topic has no
+    /// claimed job in flight and holds that topic until
+    /// [`Broker::release`]. Jobs of a held topic met on the way are parked
+    /// behind it (still counted by [`Broker::queue_len`]), so a topic's
+    /// jobs run one at a time, in pop order, whichever worker runs them.
+    pub fn claim(&mut self) -> Option<Job> {
+        self.sched.claim()
+    }
+
+    /// Runs a job handed out by [`Broker::claim`] or [`Broker::release`]:
+    /// resolves it (popped at `popped`, the broker reached at `locked`)
+    /// and commits it at `popped`, replacing `effects` with its I/O. The
+    /// skip rules of [`Broker::take_job`] apply. Returns the kind of job
+    /// run, or `None` when it was skipped.
+    ///
+    /// Unlike [`Broker::finish_job`] it records no delivery: the
+    /// embedding records each dispatched message once it hands it off.
+    /// It must send `effects` before it releases the topic — that keeps
+    /// each topic's deliveries, and its replicas and prunes, in the order
+    /// this method emits them.
+    pub fn run_claimed(
+        &mut self,
+        job: Job,
+        popped: Time,
+        locked: Time,
+        effects: &mut Vec<Effect>,
+    ) -> Option<JobKind> {
+        effects.clear();
+        let active = self.resolve(job, popped, locked)?;
+        self.finish_into(&active, popped, effects);
+        Some(active.job.kind)
+    }
+
+    /// Ends the claimed job of `topic`: returns the topic's next parked
+    /// job, which the caller runs with the topic still held, or frees the
+    /// topic when none is parked.
+    pub fn release(&mut self, topic: TopicId) -> Option<Job> {
+        self.sched.release(topic)
+    }
+
+    /// Resolves a popped job against its topic, recording its queue wait
+    /// and stamping its trace; `None` when a skip rule drops it.
+    fn resolve(&mut self, job: Job, popped: Time, locked: Time) -> Option<ActiveJob> {
+        self.telemetry
+            .record_stage(Stage::QueueWait, popped.saturating_since(job.release));
+        let shard = self.shards.get_mut(&job.topic)?;
+        match shard.resolve(job, self.config.coordination, popped, &mut self.stats) {
+            Resolution::Active(mut active) => {
+                if let Some(trace) = active.message.trace.as_mut() {
+                    trace.stamp(SpanPoint::Popped, popped);
+                    trace.stamp(SpanPoint::Locked, locked);
+                }
+                Some(active)
+            }
+            Resolution::Skipped => None,
+        }
+    }
+
+    /// Commits a resolved job at `now`, appending its effects and
+    /// cancelling the replication job a dispatch made redundant.
+    fn finish_into(&mut self, active: &ActiveJob, now: Time, effects: &mut Vec<Effect>) {
+        let Some(shard) = self.shards.get_mut(&active.job.topic) else {
+            return;
+        };
+        let coordination = self.config.coordination;
+        if let Some(id) = shard.finish_into(active, coordination, now, &mut self.stats, effects) {
+            self.sched.cancel(id);
+        }
     }
 
     /// Backup entry point: a replica pushed by the Primary arrived.
@@ -625,10 +657,9 @@ impl Broker {
 }
 
 /// Applies one overload [`ControlAction`] to a topic shard, recording the
-/// flight-recorder incident that attributes it. Shared by the sans-IO
-/// facade and the threaded runtime (which calls it under the shard lock).
-/// Returns whether the shard state actually changed.
-pub fn apply_control_action(
+/// flight-recorder incident that attributes it. Returns whether the shard
+/// state actually changed.
+fn apply_control_action(
     shard: &mut TopicShard,
     action: ControlAction,
     net: &frame_types::NetworkParams,
@@ -735,7 +766,6 @@ impl std::fmt::Debug for Broker {
 mod tests {
     use super::*;
     use crate::bounds::admit;
-    use crate::job::JobKind;
     use frame_types::{LossTolerance, NetworkParams, PublisherId, TopicSpec};
 
     const T1: TopicId = TopicId(1);
@@ -1191,27 +1221,6 @@ mod tests {
     }
 
     #[test]
-    fn per_shard_stats_merge_folds_counts_and_maxes_watermark() {
-        let mut a = BrokerStats {
-            messages_in: 3,
-            dispatches: 2,
-            queue_high_watermark: 5,
-            ..BrokerStats::default()
-        };
-        let b = BrokerStats {
-            messages_in: 4,
-            replications: 1,
-            queue_high_watermark: 3,
-            ..BrokerStats::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.messages_in, 7);
-        assert_eq!(a.dispatches, 2);
-        assert_eq!(a.replications, 1);
-        assert_eq!(a.queue_high_watermark, 5);
-    }
-
-    #[test]
     fn unknown_topic_rejected() {
         let mut b = Broker::new(BrokerId(1), BrokerRole::Primary, BrokerConfig::frame());
         assert!(matches!(
@@ -1248,5 +1257,144 @@ mod tests {
             ),
             Err(FrameError::WrongRole { .. })
         ));
+    }
+
+    /// One job through the pop-based protocol: `take_job` + `finish_job`.
+    fn step_popped(b: &mut Broker, now: Time, out: &mut Vec<Effect>) -> bool {
+        let Some(active) = b.take_job(now) else {
+            return false;
+        };
+        out.extend(b.finish_job(&active, now));
+        true
+    }
+
+    /// One job through the worker-pool protocol: claim → run → release,
+    /// skipping like `take_job` does until a job runs.
+    fn step_claimed(b: &mut Broker, now: Time, out: &mut Vec<Effect>) -> bool {
+        let mut effects = Vec::new();
+        while let Some(job) = b.claim() {
+            let ran = b.run_claimed(job, now, now, &mut effects);
+            // One caller claims one job at a time, so nothing is parked.
+            assert!(b.release(job.topic).is_none());
+            if ran.is_some() {
+                out.append(&mut effects);
+                return true;
+            }
+        }
+        false
+    }
+
+    #[test]
+    fn pop_and_claim_drive_paths_agree() {
+        // The four evaluation configurations, plus EDF replicating every
+        // topic: with topic 7's dispatch deadline ahead of its replication
+        // deadline, dispatches cancel queued replications.
+        let base = [
+            BrokerConfig::frame(),
+            BrokerConfig::frame_plus(),
+            BrokerConfig::fcfs(),
+            BrokerConfig::fcfs_minus(),
+            BrokerConfig {
+                selective_replication: false,
+                ..BrokerConfig::frame()
+            },
+        ];
+        let tight = TopicSpec::new(TopicId(7))
+            .period(frame_types::Duration::from_millis(100))
+            .deadline(frame_types::Duration::from_millis(30))
+            .loss_tolerance(LossTolerance::Consecutive(0))
+            .retention(2);
+        // The stock rings never wrap in a short run; a 3-slot ring adds
+        // evictions and stale skips to the same traffic.
+        let configs = base.iter().flat_map(|&c| {
+            [
+                c,
+                BrokerConfig {
+                    message_buffer_capacity: 3,
+                    backup_buffer_capacity: 3,
+                    ..c
+                },
+            ]
+        });
+        let (mut recovered, mut cancelled, mut stale) = (0, 0, 0);
+        for (n, config) in configs.enumerate() {
+            let pair = |role| -> [Broker; 2] {
+                [0, 1].map(|_| {
+                    let mut b = Broker::new(BrokerId(1), role, config);
+                    for cat in 0..6u8 {
+                        let id = TopicId(u32::from(cat) + 1);
+                        b.register_topic(admitted(cat, id), vec![S1, S2]).unwrap();
+                    }
+                    let tight = admit(&tight, &net()).unwrap();
+                    b.register_topic(tight, vec![S2]).unwrap();
+                    b
+                })
+            };
+            let (mut primaries, mut backups) =
+                (pair(BrokerRole::Primary), pair(BrokerRole::Backup));
+            let mut out: [Vec<Effect>; 2] = Default::default();
+            let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ n as u64;
+            let mut next = move || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            };
+            let mut seqs = [0u64; 7];
+            for tick in 0..400u64 {
+                let now = Time::from_micros(tick * 250);
+                let r = next();
+                if r % 3 != 0 {
+                    let t = (r >> 8) as usize % 7;
+                    let m = msg(TopicId(t as u32 + 1), seqs[t], tick / 4);
+                    seqs[t] += 1;
+                    for b in &mut primaries {
+                        b.on_message(m.clone(), now).unwrap();
+                    }
+                }
+                for _ in 0..(r >> 16) % 3 {
+                    let ran = [
+                        step_popped(&mut primaries[0], now, &mut out[0]),
+                        step_claimed(&mut primaries[1], now, &mut out[1]),
+                    ];
+                    assert_eq!(ran[0], ran[1], "config {n} tick {tick}");
+                }
+                // Replicas and prunes reach each Backup in emission order.
+                for (side, backup) in backups.iter_mut().enumerate() {
+                    for effect in out[side].drain(..) {
+                        match effect {
+                            Effect::Replicate { message } => backup.on_replica(message, now),
+                            Effect::Prune { key } => backup.on_prune(key, now),
+                            Effect::Deliver { .. } => Ok(()),
+                        }
+                        .unwrap();
+                    }
+                }
+            }
+            assert_eq!(primaries[0].stats(), primaries[1].stats(), "config {n}");
+
+            // The Primaries crash with work queued. Fail-over: promote both
+            // Backups, re-send, drain the recovery jobs.
+            let now = Time::from_secs(2);
+            let created = backups.each_mut().map(|b| b.promote(now).unwrap());
+            assert_eq!(created[0], created[1]);
+            for b in &mut backups {
+                b.on_resend(msg(T1, seqs[0], 1_900), now).unwrap();
+            }
+            out = Default::default();
+            let [a, b] = &mut backups;
+            while step_popped(a, now, &mut out[0]) {}
+            while step_claimed(b, now, &mut out[1]) {}
+            assert!(!out[0].is_empty());
+            assert_eq!(out[0], out[1], "config {n}: recovery effects");
+            assert_eq!(a.stats(), b.stats(), "config {n}");
+            let stats = a.stats();
+            assert!(stats.recovery_dispatches + stats.recovery_skipped > 0);
+            recovered += stats.recovery_dispatches;
+            let primary = primaries[0].stats();
+            cancelled += primary.replications_cancelled;
+            stale += primary.stale_jobs_skipped;
+        }
+        assert!(recovered > 0 && cancelled > 0 && stale > 0);
     }
 }

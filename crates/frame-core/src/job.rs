@@ -241,22 +241,16 @@ impl JobQueue for FcfsQueue {
     }
 }
 
-/// The scheduling plane of a broker: the job queue plus job-id allocation
-/// and the queue high-watermark.
+/// A broker's job queue plus job-id allocation and the queue
+/// high-watermark.
 ///
-/// Grouping exactly this state lets a threaded embedding place the
-/// scheduler behind one short lock — held only to push, pop or cancel a
-/// job — while all per-topic state lives in
-/// [`TopicShard`](crate::shard::TopicShard)s behind their own locks, so N
-/// workers drain the queue concurrently and only serialize per topic.
-///
-/// Such embeddings take work with [`Scheduler::claim`] and hand it back
+/// A worker pool takes work with [`Scheduler::claim`] and hands it back
 /// with [`Scheduler::release`], which keep at most one job per topic in
 /// flight: a job popped while its topic is held is parked (still counted
 /// by [`Scheduler::len`]) and handed to the holder in pop order. Without
-/// this, two workers holding `seq 1` and `seq 2` of one topic race for the
-/// shard lock and may deliver them out of order.
-pub struct Scheduler {
+/// this, two workers holding `seq 1` and `seq 2` of one topic could
+/// deliver them out of order.
+pub(crate) struct Scheduler {
     queue: Box<dyn JobQueue>,
     /// Topics with a claimed job in flight, each with its parked jobs in
     /// pop order. At most one entry per worker, so scans are short.
@@ -268,7 +262,7 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// Creates an empty scheduler for `policy`.
-    pub fn new(policy: SchedulingPolicy) -> Self {
+    pub(crate) fn new(policy: SchedulingPolicy) -> Self {
         Scheduler {
             queue: policy.make_queue(),
             held: HashMap::new(),
@@ -279,27 +273,27 @@ impl Scheduler {
     }
 
     /// Allocates the next job id (creation order).
-    pub fn alloc_job_id(&mut self) -> JobId {
+    pub(crate) fn alloc_job_id(&mut self) -> JobId {
         let id = JobId(self.next_job_id);
         self.next_job_id += 1;
         id
     }
 
     /// Enqueues a job, updating the high-watermark.
-    pub fn push(&mut self, job: Job) {
+    pub(crate) fn push(&mut self, job: Job) {
         self.queue.push(job);
         self.high_watermark = self.high_watermark.max(self.len() as u64);
     }
 
     /// Dequeues the next non-cancelled job.
-    pub fn pop(&mut self) -> Option<Job> {
+    pub(crate) fn pop(&mut self) -> Option<Job> {
         self.queue.pop()
     }
 
     /// Dequeues the next job whose topic is not held and holds its topic
     /// until [`Scheduler::release`]. Jobs of held topics met on the way
     /// are parked behind their holder.
-    pub fn claim(&mut self) -> Option<Job> {
+    pub(crate) fn claim(&mut self) -> Option<Job> {
         while let Some(job) = self.queue.pop() {
             match self.held.entry(job.topic) {
                 Entry::Occupied(mut parked) => {
@@ -318,7 +312,7 @@ impl Scheduler {
     /// Finishes the claimed job of `topic`: returns the topic's next
     /// parked job, which the caller now runs with the topic still held,
     /// or releases the topic when none is parked.
-    pub fn release(&mut self, topic: TopicId) -> Option<Job> {
+    pub(crate) fn release(&mut self, topic: TopicId) -> Option<Job> {
         let parked = self.held.get_mut(&topic)?;
         let next = parked.pop_front();
         match next {
@@ -331,7 +325,7 @@ impl Scheduler {
     }
 
     /// Cancels a queued or parked job (lazy; unknown ids are ignored).
-    pub fn cancel(&mut self, id: JobId) {
+    pub(crate) fn cancel(&mut self, id: JobId) {
         self.queue.cancel(id);
         for parked in self.held.values_mut() {
             if let Some(i) = parked.iter().position(|j| j.id == id) {
@@ -343,22 +337,12 @@ impl Scheduler {
     }
 
     /// Live (non-cancelled) jobs waiting, queued or parked.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.queue.len() + self.parked
     }
 
-    /// Whether no live jobs remain.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Deadline of the next live job without removing it.
-    pub fn peek_deadline(&mut self) -> Option<Time> {
-        self.queue.peek_deadline()
-    }
-
     /// Highest number of live jobs ever waiting in the queue.
-    pub fn high_watermark(&self) -> u64 {
+    pub(crate) fn high_watermark(&self) -> u64 {
         self.high_watermark
     }
 }

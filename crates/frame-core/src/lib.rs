@@ -15,10 +15,10 @@
 //!   the coordination flags of Table 3.
 //! * [`broker`] — the sans-IO broker state machine: Message Proxy, Job
 //!   Generator, Message Delivery, dispatch–replicate coordination, and
-//!   fault recovery (Backup promotion).
-//! * [`shard`] — the broker's per-topic state plane ([`TopicShard`]),
-//!   pairing with the [`Scheduler`] plane so threaded embeddings can lock
-//!   per topic instead of per broker.
+//!   fault recovery (Backup promotion). It keeps its per-topic state in
+//!   private shards and is the one state machine every embedding drives:
+//!   the simulator pops jobs from it, the threaded runtime holds it
+//!   behind one lock and claims jobs per topic.
 //! * [`publisher`] — message creation, retention, and fail-over re-send.
 //! * [`subscriber`] — duplicate suppression and consecutive-loss tracking.
 //! * [`detector`] — the polling failure detector the Backup uses to watch
@@ -55,25 +55,17 @@ pub mod detector;
 pub mod job;
 pub mod overload;
 pub mod publisher;
-pub mod shard;
+mod shard;
 pub mod subscriber;
 
 pub use bounds::{
     admit, deadline_ordering, dispatch_deadline, min_admissible_retention, replication_deadline,
     replication_needed, AdmittedTopic, Deadline, DeadlineKind, LabelledDeadline, PseudoDeadlines,
 };
-pub use broker::{
-    apply_control_action, ActiveJob, Broker, BrokerConfig, BrokerRole, BrokerStats, Effect,
-};
+pub use broker::{ActiveJob, Broker, BrokerConfig, BrokerRole, BrokerStats, Effect};
 pub use buffer::{BufferedMessage, CopyFlags, RingBuffer, SlotRef};
 pub use detector::{PollingDetector, PrimaryStatus};
-pub use job::{
-    BufferSource, EdfQueue, FcfsQueue, Job, JobId, JobKind, JobQueue, Scheduler, SchedulingPolicy,
-};
-pub use overload::{
-    ControlAction, OverloadConfig, OverloadController, PressureSample, Rung, TickOutcome,
-    TopicClass,
-};
+pub use job::{BufferSource, EdfQueue, FcfsQueue, Job, JobId, JobKind, JobQueue, SchedulingPolicy};
+pub use overload::{OverloadConfig, OverloadController, Rung};
 pub use publisher::{PublishTarget, Publisher, RetentionBuffer};
-pub use shard::{AdmitCtx, FinishOutcome, Resolution, TopicShard};
 pub use subscriber::{AcceptOutcome, DeliveryTracker};

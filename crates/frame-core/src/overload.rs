@@ -13,19 +13,18 @@
 //!    replication jobs sheds queue load without touching any guarantee.
 //! 2. **Shed `L_i`-bounded runs** (rung 2) at the admission boundary on
 //!    topics whose declared loss tolerance permits it. The run-length
-//!    guard lives in the shard ([`TopicShard`](crate::shard::TopicShard)
-//!    resets its shed run on every admitted message), so Lemma 1 is
-//!    enforced mechanically: a topic with `L_i = 0` is never shed, and a
-//!    topic with `L_i = l` never loses more than `l` consecutive
-//!    messages to the controller.
+//!    guard lives in the broker's per-topic shard (it resets its shed run
+//!    on every admitted message), so Lemma 1 is enforced mechanically: a
+//!    topic with `L_i = 0` is never shed, and a topic with `L_i = l` never
+//!    loses more than `l` consecutive messages to the controller.
 //! 3. **Evict best-effort topics** (rung 3): topics with no loss bound
 //!    stop being admitted entirely. De-escalation re-admits them through
 //!    the same [`bounds::admit`](crate::bounds::admit) math used at
 //!    startup, so a topic only comes back if it is still admissible.
 //!
 //! The controller is a *pure, deterministic* state machine: it consumes
-//! cumulative counters and gauges ([`PressureSample`]), differentiates
-//! them against the previous tick, and emits [`ControlAction`]s. The
+//! cumulative counters and gauges (`PressureSample`), differentiates
+//! them against the previous tick, and emits `ControlAction`s. The
 //! embedding (the sans-IO [`Broker`](crate::broker::Broker), the threaded
 //! runtime, or the chaos driver on a logical clock) owns when ticks
 //! happen and how actions are applied — which is what makes the chaos
@@ -87,20 +86,20 @@ impl std::fmt::Display for Rung {
 /// the ladder's eligibility rules need, derived once from the admission
 /// analysis.
 #[derive(Clone, Copy, Debug)]
-pub struct TopicClass {
+pub(crate) struct TopicClass {
     /// The topic.
-    pub id: TopicId,
+    pub(crate) id: TopicId,
     /// Proposition 1: broker replication is *not* needed (publisher
     /// retention alone covers `L_i`), so suppressing it costs nothing.
-    pub replication_optional: bool,
+    pub(crate) replication_optional: bool,
     /// The declared consecutive-loss tolerance `L_i`
     /// (`None` = best-effort).
-    pub loss_bound: Option<u32>,
+    pub(crate) loss_bound: Option<u32>,
 }
 
 impl TopicClass {
     /// Derives the class from an admitted topic.
-    pub fn from_admitted(admitted: &AdmittedTopic) -> TopicClass {
+    pub(crate) fn from_admitted(admitted: &AdmittedTopic) -> TopicClass {
         TopicClass {
             id: admitted.spec.id,
             replication_optional: !admitted.deadlines.replication_needed,
@@ -111,21 +110,21 @@ impl TopicClass {
     /// Whether rung 2 may shed this topic at all: best-effort topics
     /// always, bounded topics only when `L_i > 0`. Hard topics
     /// (`L_i = 0`) are never shed — Lemma 1 leaves no room.
-    pub fn shed_eligible(&self) -> bool {
+    pub(crate) fn shed_eligible(&self) -> bool {
         self.loss_bound.is_none_or(|l| l > 0)
     }
 
     /// Whether rung 3 may evict this topic: best-effort only. Evicting a
     /// loss-bounded topic would produce an unbounded consecutive-loss
     /// run, violating Lemma 1.
-    pub fn evict_eligible(&self) -> bool {
+    pub(crate) fn evict_eligible(&self) -> bool {
         self.loss_bound.is_none()
     }
 }
 
 /// A per-topic degradation (or restoration) the embedding must apply.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ControlAction {
+pub(crate) enum ControlAction {
     /// Stop generating replication jobs for this topic (Proposition 1
     /// says publisher retention covers it).
     SuppressReplication(TopicId),
@@ -144,7 +143,7 @@ pub enum ControlAction {
 
 impl ControlAction {
     /// The topic the action concerns.
-    pub fn topic(&self) -> TopicId {
+    pub(crate) fn topic(&self) -> TopicId {
         match *self {
             ControlAction::SuppressReplication(t)
             | ControlAction::RestoreReplication(t)
@@ -157,8 +156,8 @@ impl ControlAction {
 }
 
 /// Controller tuning. The pressure signals are all optional: a zero
-/// capacity/target/budget disables that term, so embeddings feed only
-/// the sensors they have.
+/// capacity or target disables that term, so embeddings feed only the
+/// sensors they have.
 #[derive(Clone, Copy, Debug)]
 pub struct OverloadConfig {
     /// Sustainable admission rate (messages/s) of the delivery plane;
@@ -168,8 +167,6 @@ pub struct OverloadConfig {
     /// Scheduler queue depth considered saturated (pressure 1.0). Zero
     /// disables the depth term.
     pub target_queue_depth: u64,
-    /// Queue-wait p99 considered saturated. Zero disables the term.
-    pub queue_wait_budget: Duration,
     /// Pressure at or above which a tick counts as hot.
     pub enter_pressure: f64,
     /// Pressure at or below which a tick counts as cool (hysteresis:
@@ -188,14 +185,13 @@ pub struct OverloadConfig {
 
 impl OverloadConfig {
     /// A conservative default against the paper's worked-example network:
-    /// depth-driven only (rate and p99 terms disabled), enter at 1.0 /
+    /// depth-driven only (rate term disabled), enter at 1.0 /
     /// exit at 0.5, two hot ticks to climb, four cool ticks to descend,
     /// 100 ms cadence.
     pub fn new(net: NetworkParams) -> OverloadConfig {
         OverloadConfig {
             capacity_per_sec: 0.0,
             target_queue_depth: 4096,
-            queue_wait_budget: Duration::ZERO,
             enter_pressure: 1.0,
             exit_pressure: 0.5,
             escalate_ticks: 2,
@@ -210,27 +206,25 @@ impl OverloadConfig {
 /// *totals since start-up* — the controller differentiates against the
 /// previous tick itself, so embeddings never track deltas.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct PressureSample {
+pub(crate) struct PressureSample {
     /// Live jobs in the scheduler queue.
-    pub queue_depth: u64,
+    pub(crate) queue_depth: u64,
     /// Total messages that reached the admission boundary (admitted plus
     /// shed — the *offered* load, so shedding does not mask pressure).
-    pub offered_total: u64,
+    pub(crate) offered_total: u64,
     /// Total dispatch-deadline misses.
-    pub miss_total: u64,
-    /// Queue-wait p99 latency (zero when the embedding has no histogram).
-    pub queue_wait_p99: Duration,
+    pub(crate) miss_total: u64,
 }
 
 /// What one tick decided.
 #[derive(Clone, Debug)]
-pub struct TickOutcome {
+pub(crate) struct TickOutcome {
     /// The blended pressure signal this tick (1.0 = saturated).
-    pub pressure: f64,
+    pub(crate) pressure: f64,
     /// A rung change, if one happened: `(from, to)`.
-    pub transition: Option<(Rung, Rung)>,
+    pub(crate) transition: Option<(Rung, Rung)>,
     /// Per-topic actions the embedding must apply, in topic order.
-    pub actions: Vec<ControlAction>,
+    pub(crate) actions: Vec<ControlAction>,
 }
 
 /// The feedback loop. See the module docs for the ladder.
@@ -256,7 +250,7 @@ struct PrevTick {
 
 impl OverloadController {
     /// Creates a controller at rung [`Rung::Normal`] with no topics.
-    pub fn new(config: OverloadConfig) -> OverloadController {
+    pub(crate) fn new(config: OverloadConfig) -> OverloadController {
         OverloadController {
             config,
             topics: Vec::new(),
@@ -271,24 +265,16 @@ impl OverloadController {
     }
 
     /// The controller configuration.
-    pub fn config(&self) -> &OverloadConfig {
+    pub(crate) fn config(&self) -> &OverloadConfig {
         &self.config
     }
 
     /// Registers a topic (idempotent; replaces an existing class).
-    pub fn register_topic(&mut self, class: TopicClass) {
+    pub(crate) fn register_topic(&mut self, class: TopicClass) {
         match self.topics.binary_search_by_key(&class.id.0, |c| c.id.0) {
             Ok(i) => self.topics[i] = class,
             Err(i) => self.topics.insert(i, class),
         }
-    }
-
-    /// The registered class for `topic`, if any.
-    pub fn class(&self, topic: TopicId) -> Option<&TopicClass> {
-        self.topics
-            .binary_search_by_key(&topic.0, |c| c.id.0)
-            .ok()
-            .map(|i| &self.topics[i])
     }
 
     /// The current rung.
@@ -297,7 +283,7 @@ impl OverloadController {
     }
 
     /// The pressure computed at the most recent tick.
-    pub fn last_pressure(&self) -> f64 {
+    pub(crate) fn last_pressure(&self) -> f64 {
         self.last_pressure
     }
 
@@ -314,7 +300,7 @@ impl OverloadController {
     /// Topic counts currently degraded at each active rung:
     /// `(suppressed, shedding, evicted)`. Derived from the rung and the
     /// eligibility rules — the embedding applies exactly these sets.
-    pub fn degraded_counts(&self) -> (u64, u64, u64) {
+    pub(crate) fn degraded_counts(&self) -> (u64, u64, u64) {
         let count =
             |f: &dyn Fn(&TopicClass) -> bool| self.topics.iter().filter(|c| f(c)).count() as u64;
         let suppressed = if self.rung >= Rung::SuppressReplication {
@@ -336,8 +322,8 @@ impl OverloadController {
     }
 
     /// Blends the sample into one pressure number: the max over the
-    /// enabled terms (queue depth vs target, offered rate vs capacity,
-    /// queue-wait p99 vs budget), saturated to at least `enter_pressure`
+    /// enabled terms (queue depth vs target, offered rate vs capacity),
+    /// saturated to at least `enter_pressure`
     /// whenever deadline misses occurred in the interval — misses mean
     /// the plane is already past its budget regardless of what the
     /// leading indicators say.
@@ -346,11 +332,6 @@ impl OverloadController {
         if self.config.target_queue_depth > 0 {
             pressure =
                 pressure.max(sample.queue_depth as f64 / self.config.target_queue_depth as f64);
-        }
-        if self.config.queue_wait_budget > Duration::ZERO {
-            pressure = pressure.max(
-                sample.queue_wait_p99.as_secs_f64() / self.config.queue_wait_budget.as_secs_f64(),
-            );
         }
         if let Some(prev) = self.prev {
             let dt = now.saturating_since(prev.at).as_secs_f64();
@@ -369,7 +350,7 @@ impl OverloadController {
 
     /// Runs one control tick at `now`. Deterministic: the outcome is a
     /// pure function of the controller state and the sample.
-    pub fn tick(&mut self, now: Time, sample: PressureSample) -> TickOutcome {
+    pub(crate) fn tick(&mut self, now: Time, sample: PressureSample) -> TickOutcome {
         let pressure = self.pressure(now, &sample);
         self.last_pressure = pressure;
         self.prev = Some(PrevTick {

@@ -1,25 +1,16 @@
-//! The per-topic state plane of the broker.
+//! The per-topic state of the broker.
 //!
 //! [`TopicShard`] owns every piece of broker state that belongs to exactly
 //! one topic: its Message Buffer ring, the Table-3 coordination flags, the
-//! pending-replication map and the Backup Buffer ring. The companion
-//! scheduling plane ([`Scheduler`](crate::job::Scheduler)) owns the job
-//! queue and job-id allocation.
+//! pending-replication map and the Backup Buffer ring. The job queue and
+//! job-id allocation live beside it in the broker's [`Scheduler`], which
+//! [`TopicShard::admit`] and [`TopicShard::recovery_jobs`] push into.
 //!
-//! The split exists for the threaded runtime: each shard sits behind its
-//! own lock and the scheduler behind a separate short lock, so ingress on
-//! topic A never blocks a worker dispatching topic B, and N workers drain
-//! the EDF heap concurrently while serializing only per topic. That
-//! per-topic serialization is exactly what the dispatch–replicate
-//! coordination of Table 3 needs: every flag transition, cancellation and
-//! prune concerns a single `(topic, seq)` copy, so ordering between
-//! *different* topics is irrelevant to correctness — a replica and the
-//! prune that discards it always leave the same shard, under the same lock,
-//! in Table-3 order.
-//!
-//! The sans-IO [`Broker`](crate::broker::Broker) facade drives the same
-//! shards single-threaded, keeping the simulator and the threaded runtime
-//! on one state machine.
+//! Every flag transition, cancellation and prune of Table 3 concerns a
+//! single `(topic, seq)` copy, so the coordination is a per-topic
+//! protocol: a replica and the prune that discards it always leave the
+//! same shard, in Table-3 order. The [`Broker`](crate::broker::Broker) is
+//! the only caller.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -35,34 +26,22 @@ use crate::job::{BufferSource, Job, JobId, JobKind, Scheduler};
 /// Broker-level inputs to [`TopicShard::admit`] that are not per-topic
 /// state.
 #[derive(Clone, Copy)]
-pub struct AdmitCtx<'a> {
+pub(crate) struct AdmitCtx<'a> {
     /// The broker configuration.
-    pub config: &'a BrokerConfig,
+    pub(crate) config: &'a BrokerConfig,
     /// Whether a Backup peer currently exists to replicate to.
-    pub has_backup_peer: bool,
+    pub(crate) has_backup_peer: bool,
 }
 
 /// Outcome of resolving a popped job against its shard.
 #[derive(Debug)]
-pub enum Resolution {
+pub(crate) enum Resolution {
     /// The job is executable; run it and hand the result to
-    /// [`TopicShard::finish`].
+    /// [`TopicShard::finish_into`].
     Active(ActiveJob),
     /// The job was skipped (stale slot, or a Table-3 replication abort);
     /// pop the next one.
     Skipped,
-}
-
-/// What completing a job produced.
-#[derive(Debug)]
-pub struct FinishOutcome {
-    /// I/O the runtime must perform, in order. Backup-bound effects
-    /// (`Replicate`/`Prune`) appear in Table-3 order for this topic.
-    pub effects: Vec<Effect>,
-    /// A queued replication job cancelled by this dispatch (Table 3,
-    /// Dispatch step 2). The caller applies it to the scheduler; the
-    /// cancellation is already counted in the stats.
-    pub cancel: Option<JobId>,
 }
 
 struct BackupEntry {
@@ -71,7 +50,7 @@ struct BackupEntry {
 }
 
 /// All broker state belonging to one topic.
-pub struct TopicShard {
+pub(crate) struct TopicShard {
     topic: TopicId,
     admitted: AdmittedTopic,
     subscribers: Arc<[SubscriberId]>,
@@ -100,7 +79,7 @@ impl TopicShard {
     /// Creates the shard for an admitted topic. The Message Buffer ring is
     /// lazily allocated, so the configured capacity costs nothing until
     /// messages actually queue up.
-    pub fn new(
+    pub(crate) fn new(
         admitted: AdmittedTopic,
         subscribers: Vec<SubscriberId>,
         config: &BrokerConfig,
@@ -122,45 +101,29 @@ impl TopicShard {
         }
     }
 
-    /// The topic this shard serves.
-    pub fn topic(&self) -> TopicId {
-        self.topic
-    }
-
     /// The topic's admitted spec and pseudo deadlines.
-    pub fn admitted(&self) -> &AdmittedTopic {
+    pub(crate) fn admitted(&self) -> &AdmittedTopic {
         &self.admitted
     }
 
-    /// The topic's subscribers.
-    pub fn subscribers(&self) -> &Arc<[SubscriberId]> {
-        &self.subscribers
-    }
-
     /// Replaces the telemetry handle.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+    pub(crate) fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
 
     /// Overload rung 1: dynamically suppress (or restore) replication for
     /// this topic. Returns whether the state changed.
-    pub fn set_replication_suppressed(&mut self, on: bool) -> bool {
+    pub(crate) fn set_replication_suppressed(&mut self, on: bool) -> bool {
         let changed = self.replication_suppressed != on;
         self.replication_suppressed = on;
         changed
-    }
-
-    /// Whether the controller currently suppresses this topic's
-    /// replication.
-    pub fn replication_suppressed(&self) -> bool {
-        self.replication_suppressed
     }
 
     /// Overload rung 2: start (or stop) shedding this topic at the
     /// admission boundary. Refused (returns `false`) for hard-bound
     /// topics (`L_i = 0`): Lemma 1 leaves them no shed budget. Ending a
     /// shed phase resets the run counter.
-    pub fn set_shedding(&mut self, on: bool) -> bool {
+    pub(crate) fn set_shedding(&mut self, on: bool) -> bool {
         if on && self.admitted.spec.loss_tolerance.bound() == Some(0) {
             return false;
         }
@@ -172,16 +135,11 @@ impl TopicShard {
         changed
     }
 
-    /// Whether the controller is currently shedding this topic.
-    pub fn is_shedding(&self) -> bool {
-        self.shedding
-    }
-
     /// Overload rung 3: evict (or restore) this topic. Returns whether
     /// the state changed. The caller is responsible for only evicting
     /// topics whose loss tolerance permits it and for re-running the
     /// admission test on restore.
-    pub fn set_evicted(&mut self, on: bool) -> bool {
+    pub(crate) fn set_evicted(&mut self, on: bool) -> bool {
         let changed = self.evicted != on;
         self.evicted = on;
         if !on {
@@ -191,13 +149,8 @@ impl TopicShard {
     }
 
     /// Whether this topic is currently evicted.
-    pub fn is_evicted(&self) -> bool {
+    pub(crate) fn is_evicted(&self) -> bool {
         self.evicted
-    }
-
-    /// The current consecutive shed run (test/diagnostic surface).
-    pub fn shed_run(&self) -> u32 {
-        self.shed_run
     }
 
     /// Whether rung-2 shedding may drop the next message without the
@@ -226,9 +179,8 @@ impl TopicShard {
     }
 
     /// Message Proxy entry point for this topic: buffers the message and
-    /// generates its job(s) into `sched`. Returns the number of jobs
-    /// created (so a threaded runtime knows how many workers to wake).
-    pub fn admit(
+    /// generates its job(s) into `sched`.
+    pub(crate) fn admit(
         &mut self,
         message: Message,
         now: Time,
@@ -236,7 +188,7 @@ impl TopicShard {
         ctx: AdmitCtx<'_>,
         sched: &mut Scheduler,
         stats: &mut BrokerStats,
-    ) -> usize {
+    ) {
         let key = message.key();
         if self.evicted {
             // Rung 3: the topic is out of the admission set entirely.
@@ -249,7 +201,7 @@ impl TopicShard {
                 .incident_with(IncidentKind::LoadShed, self.topic, key.seq, now, |d| {
                     d.push_str("rejected at admission: topic evicted");
                 });
-            return 0;
+            return;
         }
         if self.shedding && self.shed_budget_left() {
             // Rung 2: drop at the admission boundary, never letting the
@@ -269,7 +221,7 @@ impl TopicShard {
                         None => write!(d, "shed at admission: run {run} (best-effort)"),
                     };
                 });
-            return 0;
+            return;
         }
         self.shed_run = 0;
         stats.messages_in += 1;
@@ -296,7 +248,6 @@ impl TopicShard {
         // The FCFS baselines replicate first, then dispatch (§VI-A); under
         // EDF the queue order is decided by deadlines, so insertion order
         // only breaks exact ties.
-        let mut created = 0;
         if replicate {
             let id = sched.alloc_job_id();
             sched.push(Job {
@@ -310,7 +261,6 @@ impl TopicShard {
                 deadline: replicate_deadline,
             });
             self.pending_replication.insert(key.seq, id);
-            created += 1;
         } else if suppress && ctx.has_backup_peer {
             stats.replications_suppressed += 1;
             self.telemetry
@@ -328,14 +278,13 @@ impl TopicShard {
             release: now,
             deadline: dispatch_deadline,
         });
-        created + 1
     }
 
     /// Resolves a popped job against this shard's buffers, applying the
     /// skip rules: stale slots, and — with `coordination` — replication
     /// jobs whose message was already dispatched (Table 3, Replicate
     /// step 1).
-    pub fn resolve(
+    pub(crate) fn resolve(
         &mut self,
         job: Job,
         coordination: bool,
@@ -383,25 +332,13 @@ impl TopicShard {
     }
 
     /// Commits a completed job: flag transitions, Table-3 coordination, and
-    /// the effects the runtime must perform. Any returned
-    /// [`FinishOutcome::cancel`] must be applied to the scheduler by the
-    /// caller.
-    pub fn finish(
-        &mut self,
-        active: &ActiveJob,
-        coordination: bool,
-        now: Time,
-        stats: &mut BrokerStats,
-    ) -> FinishOutcome {
-        let mut effects = Vec::new();
-        let cancel = self.finish_into(active, coordination, now, stats, &mut effects);
-        FinishOutcome { effects, cancel }
-    }
-
-    /// [`TopicShard::finish`], but appending effects into a caller-owned
-    /// buffer so hot loops can reuse one allocation across jobs. Returns
-    /// the job the caller must cancel in the scheduler, if any.
-    pub fn finish_into(
+    /// the effects the runtime must perform, appended to a caller-owned
+    /// buffer so hot loops can reuse one allocation across jobs. Backup-bound
+    /// effects (`Replicate`/`Prune`) appear in Table-3 order. Returns the
+    /// queued replication job this dispatch cancels (Table 3, Dispatch
+    /// step 2), which the caller removes from the scheduler; the
+    /// cancellation is already counted in the stats.
+    pub(crate) fn finish_into(
         &mut self,
         active: &ActiveJob,
         coordination: bool,
@@ -497,7 +434,7 @@ impl TopicShard {
     }
 
     /// Backup entry point: stores a replica pushed by the Primary.
-    pub fn on_replica(&mut self, message: Message, stats: &mut BrokerStats) {
+    pub(crate) fn on_replica(&mut self, message: Message, stats: &mut BrokerStats) {
         stats.replicas_received += 1;
         let seq = message.seq;
         let (slot, evicted) = self.backup.push(BackupEntry {
@@ -513,7 +450,7 @@ impl TopicShard {
     /// Backup entry point: marks a copy `Discard` (Table 3, Dispatch step 3
     /// → Backup side). Unknown seqs are ignored; double prunes are
     /// idempotent.
-    pub fn on_prune(&mut self, seq: SeqNo, stats: &mut BrokerStats) {
+    pub(crate) fn on_prune(&mut self, seq: SeqNo, stats: &mut BrokerStats) {
         if let Some(&slot) = self.backup_index.get(&seq) {
             if let Some(entry) = self.backup.get_mut(slot) {
                 if !entry.discard {
@@ -525,14 +462,14 @@ impl TopicShard {
     }
 
     /// Live, non-discarded copies in this shard's Backup Buffer.
-    pub fn backup_live(&self) -> usize {
+    pub(crate) fn backup_live(&self) -> usize {
         self.backup.iter().filter(|(_, e)| !e.discard).count()
     }
 
     /// Promotion for this topic: enqueues a recovery dispatch for every
     /// non-discarded backup copy, in sequence order (paper §IV-A). Returns
     /// the number of jobs created.
-    pub fn recovery_jobs(
+    pub(crate) fn recovery_jobs(
         &mut self,
         now: Time,
         sched: &mut Scheduler,

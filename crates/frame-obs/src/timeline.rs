@@ -1,5 +1,5 @@
 //! The `metrics.jsonl` timeline: a deterministic, serialization-stable
-//! subset of a [`SamplePoint`](crate::sampler::SamplePoint).
+//! subset of a [`SamplePoint`].
 //!
 //! Only integer counters, integer deltas and the health verdict make the
 //! cut — latency quantiles and heartbeat ages depend on wall-clock

@@ -1,6 +1,5 @@
-//! The threaded broker: a pool of delivery worker threads over the
-//! two-plane broker state of `frame-core`, with admission running on the
-//! caller's thread.
+//! The threaded broker: a pool of delivery worker threads driving one
+//! `frame-core` [`Broker`], with admission running on the caller's thread.
 //!
 //! Mirrors the paper's implementation structure (§V) without giving the
 //! Message Proxy a thread of its own: [`RtBroker::publish`],
@@ -11,38 +10,23 @@
 //! Job Queue. Deliveries leave over crossbeam channels, Backup-bound
 //! effects through a [`BackupSink`].
 //!
-//! # Locking design (two planes)
+//! # Locking design (one lock + claim)
 //!
-//! Instead of one `Mutex<Broker>` serializing every stage, state is split
-//! the way `frame-core` splits it:
+//! All broker state — topic buffers, Table-3 flags, the job queue, the
+//! role and the overload controller — is one sans-IO [`Broker`] behind one
+//! `Mutex`. Every state call is one short critical section around the
+//! `Broker` method of the same name, so the threaded runtime and the
+//! simulator run the same state machine.
 //!
-//! * one [`TopicShard`] per topic, each behind its own `Mutex` — buffer
-//!   slots, Table-3 flags, the pending-replication map;
-//! * one [`Scheduler`] (the EDF/FCFS queue) behind a separate short lock,
-//!   held only to push, pop or cancel a job.
-//!
-//! A worker locks the scheduler to pop, then only the one shard its job
-//! touches; an admitting caller locks only the shard it is admitting into
-//! (plus the scheduler to enqueue the generated jobs). Ingress on topic A
-//! therefore never blocks a worker dispatching topic B, and N workers drain
-//! the heap concurrently, serializing only per topic.
-//!
-//! The topic is also the unit of *execution*: workers take jobs with
-//! [`Scheduler::claim`], so at most one job per topic is in flight and a
-//! topic's later jobs are parked behind the worker holding it, which runs
-//! them in pop order before [`Scheduler::release`] frees the topic.
-//!
-//! The lock order is always shard → scheduler (admit and cancel take the
-//! scheduler while holding a shard; the claim and release paths hold the
-//! scheduler alone), so the two planes cannot deadlock.
-//!
-//! Per-topic serialization is exactly what the paper's Table-3 coordination
-//! needs: every flag transition, cancellation and prune concerns one
-//! `(topic, seq)` copy. Backup-bound effects are handed to the sink while
-//! the shard lock is held, so for any topic the sink sees the Table-3
-//! order — a prune can never overtake the replica it discards (this
-//! regressed once when effects were sent after dropping the broker lock;
-//! see ROADMAP).
+//! Workers take jobs with [`Broker::claim`], which holds the job's topic:
+//! at most one job per topic is in flight, and a topic's later jobs are
+//! parked behind the worker holding it, which runs them in pop order
+//! before [`Broker::release`] frees the topic. A worker runs a job under
+//! the lock ([`Broker::run_claimed`]), **drops the lock, sends the job's
+//! effects, and only then releases the topic**. The claim, not the lock,
+//! therefore orders each topic's output: its deliveries leave in job
+//! order, and a prune can never overtake the replica it discards (Table
+//! 3), while encoding and fan-out run in parallel across topics.
 //!
 //! The subscriber map and the backup sink are read-mostly `RwLock`s:
 //! deliveries share the read lock and never contend with each other.
@@ -54,15 +38,12 @@ use std::thread::JoinHandle;
 use crossbeam::channel::Sender;
 use frame_clock::Clock;
 use frame_core::{
-    apply_control_action, AdmitCtx, AdmittedTopic, BrokerConfig, BrokerRole, BrokerStats,
-    BufferSource, Effect, Job, JobKind, OverloadConfig, OverloadController, PressureSample,
-    Resolution, Scheduler, TopicClass, TopicShard,
+    AdmittedTopic, Broker, BrokerConfig, BrokerRole, BrokerStats, Effect, Job, JobKind,
+    OverloadConfig,
 };
-use frame_telemetry::{DecisionKind, HeartbeatKind, IncidentKind, Stage, Telemetry};
+use frame_telemetry::{HeartbeatKind, Stage, Telemetry};
 use frame_types::wire::{EncodedFrame, WireCodec, WireMsg};
-use frame_types::{
-    BrokerId, FrameError, Message, SeqNo, SpanPoint, SubscriberId, Time, TopicId, TraceCtx,
-};
+use frame_types::{BrokerId, FrameError, Message, SpanPoint, SubscriberId, Time, TraceCtx};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 
 use crate::fault::{fate_of, BackupEffectKind, Hop, SharedFaultHook};
@@ -91,10 +72,11 @@ pub struct Delivered {
 pub use frame_types::wire::BackupEffect;
 
 /// Receives the Backup-bound effects (replicas and prunes) of one finished
-/// job, in emission order. It runs on worker threads under the emitting
-/// topic's shard lock, which is what keeps the Table-3 order per topic, so
-/// it must not block: in-process it is a closure over the Backup's
-/// [`RtBroker::apply_backup`], over TCP a send into the bridge's channel.
+/// job, in emission order. It runs on worker threads while they hold the
+/// emitting topic's claim, which is what keeps the Table-3 order per
+/// topic, so it must not block: in-process it is a closure over the
+/// Backup's [`RtBroker::apply_backup`], over TCP a send into the bridge's
+/// channel.
 pub type BackupSink = Arc<dyn Fn(Vec<BackupEffect>) + Send + Sync>;
 
 /// Called after deliveries are pushed onto a subscriber's channel, so an
@@ -110,23 +92,10 @@ struct SubscriberEntry {
     notify: Option<DeliveryNotify>,
 }
 
-/// A topic's shard plus its slice of the broker counters, guarded by one
-/// lock so every mutation and its accounting stay atomic.
-struct ShardSlot {
-    shard: TopicShard,
-    stats: BrokerStats,
-}
-
 struct Inner {
     id: BrokerId,
-    config: BrokerConfig,
-    role: RwLock<BrokerRole>,
-    has_backup_peer: AtomicBool,
-    /// Per-topic state plane. The map itself is read-mostly (topics are
-    /// registered up front); each shard has its own lock.
-    shards: RwLock<std::collections::HashMap<TopicId, Arc<Mutex<ShardSlot>>>>,
-    /// Scheduling plane: the job queue, behind a short lock.
-    sched: Mutex<Scheduler>,
+    /// The broker state machine: the only lock over broker state.
+    broker: Mutex<Broker>,
     job_ready: Condvar,
     alive: AtomicBool,
     clock: Arc<dyn Clock>,
@@ -143,10 +112,6 @@ struct Inner {
     job_service_ns: std::sync::atomic::AtomicU64,
     /// Scripted fault hook ([`crate::fault`]); `None` in production.
     hook: SharedFaultHook,
-    /// Overload controller ([`frame_core::overload`]); `None` until
-    /// [`RtBroker::set_overload`]. Locked only on the control tick, never
-    /// on the message path.
-    overload: Mutex<Option<OverloadController>>,
 }
 
 /// Handle to a running threaded broker.
@@ -190,13 +155,11 @@ impl RtBroker {
         telemetry: Telemetry,
         hook: SharedFaultHook,
     ) -> (RtBroker, RtBrokerThreads) {
+        let mut broker = Broker::new(id, role, config);
+        broker.set_telemetry(telemetry.clone());
         let inner = Arc::new(Inner {
             id,
-            config,
-            role: RwLock::new(role),
-            has_backup_peer: AtomicBool::new(role == BrokerRole::Primary),
-            shards: RwLock::new(std::collections::HashMap::new()),
-            sched: Mutex::new(Scheduler::new(config.policy)),
+            broker: Mutex::new(broker),
             job_ready: Condvar::new(),
             alive: AtomicBool::new(true),
             clock,
@@ -206,7 +169,6 @@ impl RtBroker {
             telemetry,
             job_service_ns: std::sync::atomic::AtomicU64::new(0),
             hook,
-            overload: Mutex::new(None),
         });
 
         let handles = (0..workers.max(1))
@@ -230,23 +192,50 @@ impl RtBroker {
     /// A no-op once the broker is killed, when it is not Primary, or for
     /// an unknown topic — a send to a dead broker is a dropped packet.
     pub fn publish(&self, message: Message) {
-        self.admit(message, BufferSource::Message);
+        self.admit(message, Broker::on_message);
     }
 
     /// Admits a publisher's retention re-send (the fail-over path) on the
     /// calling thread; no-op under the same conditions as
     /// [`RtBroker::publish`].
     pub fn resend(&self, message: Message) {
-        self.admit(message, BufferSource::Resend);
+        self.admit(message, Broker::on_resend);
     }
 
-    fn admit(&self, message: Message, source: BufferSource) {
+    fn admit(
+        &self,
+        mut message: Message,
+        admit: fn(&mut Broker, Message, Time) -> Result<(), FrameError>,
+    ) {
         let inner = &*self.inner;
         if !inner.alive.load(Ordering::Acquire) {
             return;
         }
         let now = inner.clock.now();
-        let created = ingress(inner, message, source, now);
+        let traced = inner.telemetry.is_enabled();
+        if traced {
+            message
+                .trace
+                .get_or_insert_with(TraceCtx::new)
+                .stamp(SpanPoint::ProxyRecv, now);
+        }
+        let created = {
+            let mut broker = lock_broker(inner);
+            if let Some(trace) = message.trace.as_mut().filter(|_| traced) {
+                // Post-lock stamp: the ProxyRecv→Admitted slice is the
+                // admission cost including the wait for the broker lock.
+                trace.stamp(SpanPoint::Admitted, inner.clock.now());
+            }
+            let before = broker.queue_len();
+            let _ = admit(&mut broker, message, now);
+            let depth = broker.queue_len();
+            // Gauge stored under the lock: store order = mutation order.
+            inner.telemetry.record_queue_depth(inner.id, depth as u64);
+            depth - before
+        };
+        if created > 0 {
+            inner.telemetry.record_admit();
+        }
         inner
             .telemetry
             .record_stage(Stage::ProxyIngress, inner.clock.now().saturating_since(now));
@@ -265,8 +254,13 @@ impl RtBroker {
         if !inner.alive.load(Ordering::Acquire) {
             return;
         }
+        let now = inner.clock.now();
+        let mut broker = lock_broker(inner);
         for effect in effects {
-            apply_backup_effect(inner, effect);
+            let _ = match effect {
+                BackupEffect::Replica(m) => broker.on_replica(m, now),
+                BackupEffect::Prune(k) => broker.on_prune(k, now),
+            };
         }
     }
 
@@ -280,33 +274,10 @@ impl RtBroker {
         admitted: AdmittedTopic,
         subscribers: Vec<SubscriberId>,
     ) -> Result<(), FrameError> {
-        let id = admitted.spec.id;
-        let deadline = admitted.spec.deadline;
-        let loss_bound = admitted.spec.loss_tolerance.bound();
-        let mut shards = self.inner.shards.write();
-        if shards.contains_key(&id) {
-            return Err(FrameError::DuplicateTopic(id));
-        }
-        shards.insert(
-            id,
-            Arc::new(Mutex::new(ShardSlot {
-                shard: TopicShard::new(
-                    admitted,
-                    subscribers,
-                    &self.inner.config,
-                    self.inner.telemetry.clone(),
-                ),
-                stats: BrokerStats::default(),
-            })),
-        );
-        drop(shards);
-        if let Some(controller) = self.inner.overload.lock().as_mut() {
-            if let Some(slot) = shard_of(&self.inner, id) {
-                controller.register_topic(TopicClass::from_admitted(slot.lock().shard.admitted()));
-            }
-        }
-        self.inner.telemetry.set_topic_slo(id, deadline, loss_bound);
-        Ok(())
+        self.inner
+            .broker
+            .lock()
+            .register_topic(admitted, subscribers)
     }
 
     /// Connects a subscriber's delivery channel. `notify` is invoked
@@ -369,71 +340,29 @@ impl RtBroker {
     }
 
     /// Promotes this broker (must be a Backup) to Primary; recovery
-    /// dispatch jobs are scheduled and the worker pool is woken.
+    /// dispatch jobs are scheduled and the worker pool is woken. The role
+    /// flip and the recovery jobs are one critical section, so no re-send
+    /// is admitted between them.
     ///
     /// # Errors
     ///
     /// Returns [`FrameError::WrongRole`] if the broker is already Primary.
     pub fn promote(&self) -> Result<usize, FrameError> {
-        {
-            let mut role = self.inner.role.write();
-            if *role != BrokerRole::Backup {
-                return Err(FrameError::WrongRole {
-                    operation: "promote",
-                });
-            }
-            *role = BrokerRole::Primary;
-        }
-        self.inner.has_backup_peer.store(false, Ordering::Release);
-        let now = self.inner.clock.now();
-
-        // Deterministic order: by topic id, then (inside the shard) by seq.
-        let mut slots: Vec<(TopicId, Arc<Mutex<ShardSlot>>)> = self
-            .inner
-            .shards
-            .read()
-            .iter()
-            .map(|(t, s)| (*t, s.clone()))
-            .collect();
-        slots.sort_unstable_by_key(|(t, _)| *t);
-        let live: usize = slots
-            .iter()
-            .map(|(_, s)| s.lock().shard.backup_live())
-            .sum();
-        self.inner
-            .telemetry
-            .decision(DecisionKind::Promote, TopicId(0), SeqNo(live as u64), now);
-        self.inner.telemetry.incident(
-            IncidentKind::Promotion,
-            TopicId(0),
-            SeqNo(live as u64),
-            now,
-            format!("promoted to Primary; {live} live backup copies to recover"),
-        );
-        let mut created = 0;
-        for (_, slot) in &slots {
-            let mut guard = slot.lock();
-            let ShardSlot { shard, stats } = &mut *guard;
-            let mut sched = self.inner.sched.lock();
-            created += shard.recovery_jobs(now, &mut sched, stats);
+        let created = {
+            let mut broker = self.inner.broker.lock();
+            let created = broker.promote(self.inner.clock.now())?;
             self.inner
                 .telemetry
-                .record_queue_depth(self.inner.id, sched.len() as u64);
-        }
+                .record_queue_depth(self.inner.id, broker.queue_len() as u64);
+            created
+        };
         self.inner.job_ready.notify_all();
         Ok(created)
     }
 
-    /// Snapshot of the broker's counters, folded across all topic shards.
+    /// One consistent snapshot of the broker's counters.
     pub fn stats(&self) -> BrokerStats {
-        let mut total = BrokerStats::default();
-        for slot in self.inner.shards.read().values() {
-            total.merge(&slot.lock().stats);
-        }
-        total.queue_high_watermark = total
-            .queue_high_watermark
-            .max(self.inner.sched.lock().high_watermark());
-        total
+        self.inner.broker.lock().stats()
     }
 
     /// The telemetry handle this broker records into.
@@ -443,12 +372,12 @@ impl RtBroker {
 
     /// Current role.
     pub fn role(&self) -> BrokerRole {
-        *self.inner.role.read()
+        self.inner.broker.lock().role()
     }
 
     /// Live jobs waiting in the delivery queue, parked ones included.
     pub fn queue_len(&self) -> usize {
-        self.inner.sched.lock().len()
+        self.inner.broker.lock().queue_len()
     }
 
     /// Attaches an overload controller (see [`frame_core::overload`]).
@@ -458,13 +387,7 @@ impl RtBroker {
     /// cadence — `RtSystem` spawns that thread, chaos harnesses tick
     /// manually on the logical clock.
     pub fn set_overload(&self, config: OverloadConfig) {
-        let mut controller = OverloadController::new(config);
-        let slots: Vec<Arc<Mutex<ShardSlot>>> =
-            self.inner.shards.read().values().cloned().collect();
-        for slot in slots {
-            controller.register_topic(TopicClass::from_admitted(slot.lock().shard.admitted()));
-        }
-        *self.inner.overload.lock() = Some(controller);
+        self.inner.broker.lock().set_overload(config);
     }
 
     /// Runs one overload-control tick at the runtime clock's now; see
@@ -473,143 +396,24 @@ impl RtBroker {
         self.control_tick_at(self.inner.clock.now())
     }
 
-    /// Runs one overload-control tick at `now`: folds the pressure
-    /// signals across shards (offered load, sheds, deadline misses, queue
-    /// depth), advances the ladder, and applies any per-topic
-    /// degradations/restorations under each shard's own lock. Returns the
-    /// number of actions applied; a no-op without an attached controller.
-    ///
-    /// Lock order is overload → shard (the message path never takes the
-    /// overload lock), so ticking cannot deadlock against ingress or
-    /// workers.
+    /// Runs one overload-control tick at `now` ([`Broker::control_tick`]):
+    /// reads the pressure signals, advances the ladder and applies any
+    /// per-topic degradations/restorations. Returns the number of actions
+    /// applied; a no-op without an attached controller.
     pub fn control_tick_at(&self, now: Time) -> usize {
-        let mut guard = self.inner.overload.lock();
-        let Some(controller) = guard.as_mut() else {
-            return 0;
-        };
-        let mut offered_total = 0u64;
-        let mut miss_total = 0u64;
-        let slots: Vec<Arc<Mutex<ShardSlot>>> =
-            self.inner.shards.read().values().cloned().collect();
-        for slot in &slots {
-            let stats = &slot.lock().stats;
-            offered_total += stats.messages_in + stats.messages_shed;
-            miss_total += stats.dispatch_deadline_misses;
-        }
-        let sample = PressureSample {
-            queue_depth: self.inner.sched.lock().len() as u64,
-            offered_total,
-            miss_total,
-            queue_wait_p99: frame_types::Duration::ZERO,
-        };
-        let outcome = controller.tick(now, sample);
-        if let Some((from, to)) = outcome.transition {
-            if to > from {
-                self.inner.telemetry.record_overload_escalation();
-            } else {
-                self.inner.telemetry.record_overload_deescalation();
-            }
-            self.inner.telemetry.incident(
-                IncidentKind::OverloadControl,
-                TopicId(0),
-                SeqNo(to.index() as u64),
-                now,
-                format!("rung {from} -> {to} at pressure {:.3}", outcome.pressure),
-            );
-        }
-        let applied = outcome.actions.len();
-        let net = controller.config().net;
-        let (suppressed, shedding, evicted) = controller.degraded_counts();
-        let rung = controller.rung().index() as u64;
-        let pressure = controller.last_pressure();
-        for action in outcome.actions {
-            let Some(slot) = shard_of(&self.inner, action.topic()) else {
-                continue;
-            };
-            let mut guard = lock_shard(&self.inner, &slot);
-            apply_control_action(&mut guard.shard, action, &net, now, &self.inner.telemetry);
-        }
-        self.inner
-            .telemetry
-            .set_overload_state(rung, suppressed, shedding, evicted, pressure);
-        applied
+        self.inner.broker.lock().control_tick(now)
     }
 }
 
-fn shard_of(inner: &Inner, topic: TopicId) -> Option<Arc<Mutex<ShardSlot>>> {
-    inner.shards.read().get(&topic).cloned()
-}
-
-/// Locks a shard, counting the acquisition as contended when another
-/// thread already holds it (the telemetry signal for hot topics).
-fn lock_shard<'a>(inner: &Inner, slot: &'a Arc<Mutex<ShardSlot>>) -> MutexGuard<'a, ShardSlot> {
-    match slot.try_lock() {
+/// Locks the broker on the message path, counting the acquisition as
+/// contended when another thread already holds it.
+fn lock_broker(inner: &Inner) -> MutexGuard<'_, Broker> {
+    match inner.broker.try_lock() {
         Some(guard) => guard,
         None => {
             inner.telemetry.record_shard_contention();
-            slot.lock()
+            inner.broker.lock()
         }
-    }
-}
-
-/// Admits a publisher message (or retention re-send): shard lock, then the
-/// scheduler lock for the generated jobs. Returns the number of jobs
-/// created (0 when the broker is not Primary or the topic is unknown).
-fn ingress(inner: &Inner, mut message: Message, source: BufferSource, now: Time) -> usize {
-    if *inner.role.read() != BrokerRole::Primary {
-        return 0;
-    }
-    let Some(slot) = shard_of(inner, message.topic) else {
-        return 0;
-    };
-    let traced = inner.telemetry.is_enabled();
-    if traced {
-        message
-            .trace
-            .get_or_insert_with(TraceCtx::new)
-            .stamp(SpanPoint::ProxyRecv, now);
-    }
-    let mut guard = lock_shard(inner, &slot);
-    if traced {
-        // Post-lock stamp: the ProxyRecv→Admitted slice is the admission
-        // cost including any ingress-side shard-lock wait.
-        if let Some(trace) = message.trace.as_mut() {
-            trace.stamp(SpanPoint::Admitted, inner.clock.now());
-        }
-    }
-    let ShardSlot { shard, stats } = &mut *guard;
-    let ctx = AdmitCtx {
-        config: &inner.config,
-        has_backup_peer: inner.has_backup_peer.load(Ordering::Acquire),
-    };
-    let mut sched = inner.sched.lock();
-    let created = shard.admit(message, now, source, ctx, &mut sched, stats);
-    if created > 0 {
-        inner.telemetry.record_admit();
-    }
-    // Gauge stored under the scheduler lock: store order = mutation order.
-    inner
-        .telemetry
-        .record_queue_depth(inner.id, sched.len() as u64);
-    created
-}
-
-fn apply_backup_effect(inner: &Inner, effect: BackupEffect) {
-    if *inner.role.read() != BrokerRole::Backup {
-        return;
-    }
-    let topic = match &effect {
-        BackupEffect::Replica(m) => m.topic,
-        BackupEffect::Prune(k) => k.topic,
-    };
-    let Some(slot) = shard_of(inner, topic) else {
-        return;
-    };
-    let mut guard = lock_shard(inner, &slot);
-    let ShardSlot { shard, stats } = &mut *guard;
-    match effect {
-        BackupEffect::Replica(m) => shard.on_replica(m, stats),
-        BackupEffect::Prune(k) => shard.on_prune(k.seq, stats),
     }
 }
 
@@ -627,7 +431,7 @@ fn spawn_worker(inner: Arc<Inner>, index: usize) -> JoinHandle<()> {
             frame_telemetry::register_thread_role(frame_telemetry::RoleKind::Worker, index);
             let mut iters = 0u32;
             // Reused per-worker scratch: finish effects land here
-            // (`finish_into`), so steady state allocates no Vec per job.
+            // (`run_claimed`), so steady state allocates no Vec per job.
             let mut effects: Vec<Effect> = Vec::new();
             // Encodes each dispatched message's shared Deliver frame.
             let mut codec = WireCodec::new();
@@ -644,31 +448,28 @@ fn spawn_worker(inner: Arc<Inner>, index: usize) -> JoinHandle<()> {
                     frame_telemetry::stamp_thread_cpu();
                     return;
                 }
-                // Pop under the scheduler lock alone; wait on it when idle
-                // (with a timeout so kill() is always noticed).
+                // Claim under the broker lock; wait on it when idle (with
+                // a timeout so kill() is always noticed).
                 inner
                     .telemetry
                     .heartbeat(HeartbeatKind::Worker, inner.clock.now());
                 let job = {
-                    let mut sched = inner.sched.lock();
-                    match sched.claim() {
-                        Some(job) => {
-                            // Gauge stored while the lock is still held, so
-                            // stores land in mutation order.
+                    let mut broker = lock_broker(&inner);
+                    let job = broker.claim();
+                    match job {
+                        // Gauge stored while the lock is still held, so
+                        // stores land in mutation order.
+                        Some(_) => inner
+                            .telemetry
+                            .record_queue_depth(inner.id, broker.queue_len() as u64),
+                        None if debt_ns == 0 => {
                             inner
-                                .telemetry
-                                .record_queue_depth(inner.id, sched.len() as u64);
-                            Some(job)
+                                .job_ready
+                                .wait_for(&mut broker, std::time::Duration::from_millis(10));
                         }
-                        None => {
-                            if debt_ns == 0 {
-                                inner
-                                    .job_ready
-                                    .wait_for(&mut sched, std::time::Duration::from_millis(10));
-                            }
-                            None
-                        }
+                        None => {}
                     }
+                    job
                 };
                 let Some(job) = job else {
                     if debt_ns > 0 {
@@ -688,12 +489,12 @@ fn spawn_worker(inner: Arc<Inner>, index: usize) -> JoinHandle<()> {
                     if !inner.alive.load(Ordering::Acquire) {
                         break;
                     }
-                    let mut sched = inner.sched.lock();
-                    next = sched.release(topic);
+                    let mut broker = lock_broker(&inner);
+                    next = broker.release(topic);
                     if next.is_some() {
                         inner
                             .telemetry
-                            .record_queue_depth(inner.id, sched.len() as u64);
+                            .record_queue_depth(inner.id, broker.queue_len() as u64);
                     }
                 }
                 // Emulated wire time (see `set_job_service_time`): accrued
@@ -711,9 +512,10 @@ fn spawn_worker(inner: Arc<Inner>, index: usize) -> JoinHandle<()> {
         .expect("spawn delivery worker")
 }
 
-/// Runs one claimed job: resolves it against its topic's shard, finishes
-/// it, and sends its effects. Returns the job's emulated wire time in
-/// nanoseconds, which the caller owes once it has released the topic.
+/// Runs one claimed job: resolves and finishes it under the broker lock,
+/// then sends its effects with the lock dropped but the topic still
+/// claimed. Returns the job's emulated wire time in nanoseconds, which the
+/// caller owes once it has released the topic.
 fn run_job(inner: &Inner, job: Job, effects: &mut Vec<Effect>, codec: &mut WireCodec) -> u64 {
     if let Some(hook) = inner.hook.as_deref() {
         if let Some(stall) = hook.on_worker_job(job.topic, job.key.seq) {
@@ -723,45 +525,25 @@ fn run_job(inner: &Inner, job: Job, effects: &mut Vec<Effect>, codec: &mut WireC
         }
     }
     let now = inner.clock.now();
-    inner
-        .telemetry
-        .record_stage(Stage::QueueWait, now.saturating_since(job.release));
-    let Some(slot) = shard_of(inner, job.topic) else {
+    let kind = {
+        let mut broker = lock_broker(inner);
+        // Popped at `now`, Locked once the broker lock is held: their gap
+        // is this worker's lock wait.
+        let locked = if inner.telemetry.is_enabled() {
+            inner.clock.now()
+        } else {
+            now
+        };
+        broker.run_claimed(job, now, locked, effects)
+    };
+    let Some(kind) = kind else {
         return 0;
     };
-    let kind = job.kind;
-    let started = inner.clock.now();
-    {
-        let mut guard = lock_shard(inner, &slot);
-        let ShardSlot { shard, stats } = &mut *guard;
-        let mut active = match shard.resolve(job, inner.config.coordination, now, stats) {
-            Resolution::Active(active) => active,
-            Resolution::Skipped => return 0,
-        };
-        if let Some(trace) = active.message.trace.as_mut() {
-            // Popped at the queue pop, Locked once the shard lock is
-            // held — their gap is this worker's lock wait.
-            trace.stamp(SpanPoint::Popped, now);
-            trace.stamp(SpanPoint::Locked, inner.clock.now());
-        }
-        effects.clear();
-        let cancel = shard.finish_into(&active, inner.config.coordination, started, stats, effects);
-        if let Some(id) = cancel {
-            let mut sched = inner.sched.lock();
-            sched.cancel(id);
-            inner
-                .telemetry
-                .record_queue_depth(inner.id, sched.len() as u64);
-        }
-        // Backup-bound effects leave while the shard lock is held:
-        // for this topic, channel order is the Table-3 order, so a
-        // prune can never overtake its replica. Subscriber pushes
-        // also happen here (crossbeam sends never block), which
-        // keeps per-topic delivery order; other topics' workers are
-        // unaffected.
-        send_backup_batch(inner, effects);
-        deliver(inner, effects, started, codec);
-    }
+    // Sent before the topic is released: for this topic, channel order is
+    // the Table-3 order, so a prune can never overtake its replica, and
+    // deliveries leave in job order. Other topics' workers are unaffected.
+    send_backup_batch(inner, effects);
+    deliver(inner, effects, now, codec);
     let service_ns = inner.job_service_ns.load(Ordering::Relaxed);
     let stage = match kind {
         JobKind::Dispatch => Stage::DispatchExec,
@@ -774,7 +556,7 @@ fn run_job(inner: &Inner, job: Job, effects: &mut Vec<Effect>, codec: &mut WireC
         inner
             .clock
             .now()
-            .saturating_since(started)
+            .saturating_since(now)
             .saturating_add(frame_types::Duration::from_nanos(service_ns)),
     );
     service_ns
@@ -802,7 +584,7 @@ fn send_backup_batch(inner: &Inner, effects: &[Effect]) {
             BackupEffect::Prune(k) => (k.topic, k.seq, BackupEffectKind::Prune),
         };
         if let Some(hook) = &inner.hook {
-            // Emission-order observation (still under the shard lock):
+            // Emission-order observation (the topic is still claimed):
             // this is the ground truth a Table-3 order checker replays.
             hook.on_backup_effect(topic, seq, kind);
         }
@@ -880,7 +662,7 @@ fn deliver(inner: &Inner, effects: &[Effect], now: Time, codec: &mut WireCodec) 
             inner.telemetry.record_stage(Stage::Transit, transit);
             let mut message = message.clone();
             if let Some(trace) = message.trace.as_mut() {
-                // Re-stamp over the shard's finish-time stamp: this is the
+                // Re-stamp over the broker's finish-time stamp: this is the
                 // actual channel hand-off instant on this worker.
                 trace.stamp(SpanPoint::DeliverSend, send_at);
             }

@@ -107,9 +107,10 @@ pub trait FaultHook: Send + Sync {
     }
 
     /// Observes one Primary→Backup effect at its emission point, *before*
-    /// any fate is applied. Called under the topic's shard lock, so for a
-    /// given topic the call order is the Primary's Table-3 order — an
-    /// observer can assert a prune is never emitted ahead of its replica.
+    /// any fate is applied. Called while the emitting worker holds the
+    /// topic's claim (the broker lock is already dropped), so for a given
+    /// topic the call order is the Primary's Table-3 order — an observer
+    /// can assert a prune is never emitted ahead of its replica.
     fn on_backup_effect(&self, topic: TopicId, seq: SeqNo, kind: BackupEffectKind) {
         let _ = (topic, seq, kind);
     }

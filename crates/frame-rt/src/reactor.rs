@@ -24,8 +24,8 @@
 //!
 //! Decoded messages are admitted on the loop itself: publishes, re-sends
 //! and replica batches call [`RtBroker::publish`], [`RtBroker::resend`]
-//! and [`RtBroker::apply_backup`], which take one shard lock and the
-//! scheduler lock, so the loop *is* the broker's Message Proxy. While the
+//! and [`RtBroker::apply_backup`], each one short critical section under
+//! the broker lock, so the loop *is* the broker's Message Proxy. While the
 //! broker is alive each loop iteration beats the proxy heartbeat, and a
 //! liveness `Poll` is acked at once; a dead broker's loops close every
 //! connection and stay silent.
@@ -55,8 +55,7 @@ use frame_types::wire::{
 #[derive(Clone, Debug)]
 pub struct ReactorConfig {
     /// Event loop count; `0` picks one per available core, capped at 4
-    /// (beyond that the sharded broker core, not ingress, is the
-    /// bottleneck).
+    /// (beyond that the broker core, not ingress, is the bottleneck).
     pub loops: usize,
     /// Max bytes read from one connection per wakeup before it is parked
     /// back on the poller (fairness under fire-hose publishers). Also the

@@ -1,14 +1,16 @@
-//! Contention stress for the sharded threaded broker.
+//! Contention stress for the threaded broker.
 //!
-//! The two-plane locking refactor (per-topic shards + a standalone
-//! scheduler lock) is only correct if, under real thread interleavings:
+//! The threaded broker holds one `frame_core::Broker` behind one lock;
+//! workers send a job's effects after dropping that lock, while they still
+//! hold the topic's claim. That is only correct if, under real thread
+//! interleavings:
 //!
 //! 1. no message is ever dispatched twice to the same subscriber (the
-//!    scheduler hands each job to exactly one worker, and Table-3 stale
+//!    claim hands each job to exactly one worker, and Table-3 stale
 //!    checks drop overwritten slots rather than re-delivering);
 //! 2. for every topic, the Backup-bound wire order respects Table 3 — a
 //!    prune may never overtake the replica it discards, even with many
-//!    workers emitting effects concurrently;
+//!    workers sending effects concurrently outside the lock;
 //! 3. the paper's per-topic consecutive-loss bound `L_i` survives a
 //!    mid-stream Primary crash.
 
@@ -62,8 +64,9 @@ fn sharded_broker_exactly_once_and_table3_order_under_contention() {
             )
             .unwrap();
     }
-    // The monitor plays the Backup: the sink runs under each topic's shard
-    // lock, so the channel holds the exact order the workers emitted.
+    // The monitor plays the Backup: the sink runs while the emitting worker
+    // holds the topic's claim, so the channel holds the exact order the
+    // workers emitted.
     let (backup_tx, backup_rx) = unbounded::<Vec<BackupEffect>>();
     primary.connect_backup(Arc::new(move |effects| {
         let _ = backup_tx.send(effects);

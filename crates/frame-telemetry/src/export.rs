@@ -638,7 +638,7 @@ pub fn render_prometheus(snapshot: &TelemetrySnapshot) -> String {
     w.family(
         "frame_shard_contention_total",
         "counter",
-        "Topic-shard lock contention events.",
+        "Contended acquisitions of the broker lock.",
     );
     w.sample(
         "frame_shard_contention_total",

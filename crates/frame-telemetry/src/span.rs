@@ -32,9 +32,9 @@ pub enum BudgetStage {
     ProxyAdmit,
     /// Admission → a worker popped the dispatch job (EDF queue wait).
     QueueWait,
-    /// Job popped → topic-shard lock acquired (two-plane lock wait).
+    /// Job popped → broker lock acquired (the worker's lock wait).
     ShardLock,
-    /// Shard locked → delivery handed to the wire (Table-3 dispatch
+    /// Broker locked → delivery handed to the wire (Table-3 dispatch
     /// execution).
     DispatchExec,
     /// Broker hand-off → observed delivery (Lemma 2's `ΔBS`; cross-host

@@ -85,7 +85,7 @@ struct HeartbeatEntry {
 }
 
 /// One broker's queue gauges. Depth is stored (not added) under the
-/// scheduler lock at every push/pop/cancel site, so store order equals
+/// broker lock at every push/pop/cancel site, so store order equals
 /// mutation order and the last store is the true depth.
 struct QueueEntry {
     depth: AtomicU64,
@@ -182,8 +182,8 @@ impl ReactorGauges {
 
 /// Per-topic delivery histogram plus SLO accounting. All counters are
 /// relaxed atomics; the delivery path for one topic is serialized by the
-/// topic-shard lock, so the sequence-gap bookkeeping needs no stronger
-/// ordering.
+/// threaded broker's per-topic claim, so the sequence-gap bookkeeping
+/// needs no stronger ordering.
 struct TopicEntry {
     histogram: AtomicHistogram,
     /// Deadline `D_i` in nanoseconds; zero until an SLO is registered.
@@ -231,12 +231,13 @@ struct Inner {
     /// append-only.
     /// Sorted by `TopicId` so the per-delivery hot path can binary-search.
     topics: RwLock<Vec<(TopicId, Arc<TopicEntry>)>>,
-    /// Times a worker found a topic-shard lock already held and had to
-    /// block for it (threaded runtime only). High values relative to
-    /// dispatch counts mean hot topics are serializing workers.
+    /// Times the message path (admission or a worker) found the broker
+    /// lock already held and had to block for it (threaded runtime only).
+    /// High values relative to dispatch counts mean the one lock over
+    /// broker state is serializing threads.
     shard_contention: ShardedCounter,
     /// Messages admitted at ingress (publishes + retention re-sends that
-    /// passed the role/topic checks and reached `TopicShard::admit`).
+    /// passed the role/topic checks and were not shed).
     admits: ShardedCounter,
     /// Liveness beats by kind ([`HeartbeatKind::ALL`] order).
     heartbeats: [HeartbeatEntry; HeartbeatKind::ALL.len()],
@@ -598,8 +599,8 @@ impl Telemetry {
         }
     }
 
-    /// Records that a worker found a topic-shard lock contended (it had to
-    /// block rather than acquire immediately). Wait-free.
+    /// Records that the message path found the broker lock contended (it
+    /// had to block rather than acquire immediately). Wait-free.
     #[inline]
     pub fn record_shard_contention(&self) {
         if let Some(inner) = &self.inner {
@@ -607,7 +608,7 @@ impl Telemetry {
         }
     }
 
-    /// Total shard-lock contention events recorded so far.
+    /// Total broker-lock contention events recorded so far.
     pub fn shard_contention(&self) -> u64 {
         match &self.inner {
             Some(inner) => inner.shard_contention.get(),
@@ -616,7 +617,7 @@ impl Telemetry {
     }
 
     /// Records one admitted ingress message (publish or retention
-    /// re-send that reached `TopicShard::admit`). Wait-free.
+    /// re-send that created jobs rather than being shed). Wait-free.
     #[inline]
     pub fn record_admit(&self) {
         if let Some(inner) = &self.inner {
@@ -1062,7 +1063,7 @@ pub struct TelemetrySnapshot {
     pub decisions: Vec<DecisionCount>,
     /// The retained decision-trace events, oldest first.
     pub trace: Vec<DecisionEvent>,
-    /// Topic-shard lock contention events (threaded runtime). `default` so
+    /// Broker-lock contention events (threaded runtime). `default` so
     /// snapshots serialized before this field existed still deserialize.
     #[serde(default)]
     pub shard_contention: u64,

@@ -35,7 +35,7 @@ pub enum SpanPoint {
     Admitted,
     /// A delivery worker popped the message's dispatch job.
     Popped,
-    /// The worker acquired the topic-shard lock.
+    /// The worker acquired the broker lock to run the job.
     Locked,
     /// The broker handed the delivery off toward the subscriber (channel
     /// push / socket write). End of broker residence.

@@ -788,7 +788,7 @@ impl FrameWriteQueue {
     }
 
     /// Writes as much as the socket accepts using vectored writes — up to
-    /// [`MAX_WRITE_VECTORS`] queued frames leave per syscall, the first
+    /// 64 (`MAX_WRITE_VECTORS`) queued frames leave per syscall, the first
     /// offset by the partial-write position. Returns `(drained, syscalls)`
     /// so callers can attribute kernel writes to their role.
     ///
