@@ -230,24 +230,26 @@ fn metrics_body(telemetry: &Telemetry, sampler: &SharedSampler) -> String {
         Err(_) => (0, 0, 0),
     };
     let mut w = PromWriter::new();
-    w.family(
-        "frame_health_status",
-        "gauge",
-        "Health verdict severity (0 healthy, 1 degraded, 2 unhealthy).",
-    );
-    w.sample("frame_health_status", &[], severity);
-    w.family(
-        "frame_obs_series",
-        "gauge",
-        "Distinct ring time-series currently retained by the sampler.",
-    );
-    w.sample("frame_obs_series", &[], series);
-    w.family(
-        "frame_obs_series_dropped_total",
-        "counter",
-        "Samples dropped by the series cardinality guard.",
-    );
-    w.sample("frame_obs_series_dropped_total", &[], dropped);
+    w.fixed(&[
+        (
+            "frame_health_status",
+            "gauge",
+            "Health verdict severity (0 healthy, 1 degraded, 2 unhealthy).",
+            &[(&[], u64::from(severity))],
+        ),
+        (
+            "frame_obs_series",
+            "gauge",
+            "Distinct ring time-series currently retained by the sampler.",
+            &[(&[], series as u64)],
+        ),
+        (
+            "frame_obs_series_dropped_total",
+            "counter",
+            "Samples dropped by the series cardinality guard.",
+            &[(&[], dropped)],
+        ),
+    ]);
     body.push_str(&w.finish());
     body
 }

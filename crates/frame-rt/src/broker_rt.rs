@@ -439,6 +439,8 @@ fn spawn_worker(inner: Arc<Inner>, index: usize) -> JoinHandle<()> {
             // SERVICE_DEBT_BATCH). Deliveries themselves are never
             // deferred — only the modelled wire latency is.
             let mut debt_ns: u64 = 0;
+            // A job claimed under the previous batch's release guard.
+            let mut claimed: Option<Job> = None;
             loop {
                 iters = iters.wrapping_add(1);
                 if iters.is_multiple_of(CPU_STAMP_EVERY) {
@@ -453,7 +455,7 @@ fn spawn_worker(inner: Arc<Inner>, index: usize) -> JoinHandle<()> {
                 inner
                     .telemetry
                     .heartbeat(HeartbeatKind::Worker, inner.clock.now());
-                let job = {
+                let job = claimed.take().or_else(|| {
                     let mut broker = lock_broker(&inner);
                     let job = broker.claim();
                     match job {
@@ -470,7 +472,7 @@ fn spawn_worker(inner: Arc<Inner>, index: usize) -> JoinHandle<()> {
                         None => {}
                     }
                     job
-                };
+                });
                 let Some(job) = job else {
                     if debt_ns > 0 {
                         // Queue drained: settle the batch's wire debt in one
@@ -491,7 +493,13 @@ fn spawn_worker(inner: Arc<Inner>, index: usize) -> JoinHandle<()> {
                     }
                     let mut broker = lock_broker(&inner);
                     next = broker.release(topic);
-                    if next.is_some() {
+                    if next.is_none() && debt_ns == 0 {
+                        // Nothing parked on this topic and no wire time
+                        // owed: claim the next job under the same guard
+                        // rather than locking again at the loop top.
+                        claimed = broker.claim();
+                    }
+                    if next.is_some() || claimed.is_some() {
                         inner
                             .telemetry
                             .record_queue_depth(inner.id, broker.queue_len() as u64);

@@ -106,9 +106,11 @@ impl RtPublisher {
     /// Redirects to the Backup and re-sends every retained message
     /// (idempotent). Re-sends cross the same publisher→Primary hop (the
     /// Backup *is* the new Primary), so scripted faults apply to them too.
+    /// The publisher lock is held until every re-send is admitted, so a
+    /// concurrent `publish` cannot overtake them at the new Primary.
     pub fn fail_over(&self) {
-        let retained: Vec<Message> = self.core.lock().fail_over();
-        for m in retained {
+        let mut core = self.core.lock();
+        for m in core.fail_over() {
             self.send_through_hook(&self.backup, m, true);
         }
     }

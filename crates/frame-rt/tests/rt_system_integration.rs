@@ -31,7 +31,17 @@ fn snapshot_reflects_live_traffic() {
             .expect("delivery");
     }
 
-    let snap = sys.snapshot();
+    // A worker records its DispatchExec sample after the delivery has
+    // left, so the last sample can land just after the subscriber wakes:
+    // give it a bounded moment before reading the snapshot.
+    let settled = std::time::Instant::now() + StdDuration::from_secs(2);
+    let mut snap = sys.snapshot();
+    while snap.stage(Stage::DispatchExec).map_or(0, |h| h.len()) < 10
+        && std::time::Instant::now() < settled
+    {
+        std::thread::sleep(StdDuration::from_millis(1));
+        snap = sys.snapshot();
+    }
     assert!(snap.decision_count(DecisionKind::Dispatch) >= 10);
     let dispatch = snap.stage(Stage::DispatchExec).expect("dispatch stage");
     assert!(dispatch.len() >= 10);

@@ -1,8 +1,9 @@
 //! Durable flight-recorder dumps: one JSON line per incident snapshot.
 //!
-//! The in-memory [`FlightRecorder`](frame_telemetry::FlightRecorder) keeps
-//! the last N per-message span timelines and incidents; this module is its
-//! crash-forensics sink. Whenever the runtime observes a new incident
+//! The in-memory flight recorder behind
+//! [`Telemetry::flight_snapshot`](frame_telemetry::Telemetry::flight_snapshot)
+//! keeps the last N per-message span timelines and incidents; this module
+//! is its crash-forensics sink. Whenever the runtime observes a new incident
 //! (deadline miss, loss burst, admission rejection, promotion) it appends
 //! the whole [`FlightSnapshot`] as a single JSONL line, so the file is a
 //! time series of ring states that survives the process — `frame-cli
@@ -93,32 +94,28 @@ impl FlightDump {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use frame_telemetry::{FlightRecorder, Incident, IncidentKind};
-    use frame_types::{SeqNo, Time, TopicId, TraceCtx};
+    use frame_telemetry::{IncidentKind, Telemetry};
+    use frame_types::{Duration, SeqNo, Time, TopicId, TraceCtx};
 
-    fn sample_recorder() -> FlightRecorder {
-        let recorder = FlightRecorder::new(8, 4);
+    /// A registry holding one traced delivery that missed its 40 µs
+    /// deadline, so its flight recorder retains one span and one
+    /// deadline-miss incident.
+    fn sample_recorder() -> Telemetry {
+        let recorder = Telemetry::new();
+        recorder.set_topic_slo(TopicId(3), Duration::from_micros(40), None);
         let mut trace = TraceCtx::new();
         trace.stamp(frame_types::SpanPoint::ProxyRecv, Time::from_micros(10));
         trace.stamp(frame_types::SpanPoint::Admitted, Time::from_micros(12));
         trace.stamp(frame_types::SpanPoint::Popped, Time::from_micros(40));
         trace.stamp(frame_types::SpanPoint::Locked, Time::from_micros(41));
         trace.stamp(frame_types::SpanPoint::DeliverSend, Time::from_micros(50));
-        recorder.record(
+        recorder.record_delivery(
             TopicId(3),
             SeqNo(7),
             Time::from_micros(5),
             Time::from_micros(55),
             Some(&trace),
-            40_000,
         );
-        recorder.incident(Incident {
-            kind: IncidentKind::DeadlineMiss,
-            at: Time::from_micros(55),
-            topic: TopicId(3),
-            seq: SeqNo(7),
-            detail: "e2e 50000ns > D_i 40000ns".into(),
-        });
         recorder
     }
 
@@ -129,16 +126,21 @@ mod tests {
         let dump = FlightDump::create(&dir).unwrap();
         let recorder = sample_recorder();
 
-        let first = recorder.snapshot();
+        let first = recorder.flight_snapshot();
+        assert_eq!(first.spans.len(), 1);
+        assert_eq!(
+            first.last_incident().map(|i| i.kind),
+            Some(IncidentKind::DeadlineMiss)
+        );
         dump.append(&first).unwrap();
-        recorder.incident(Incident {
-            kind: IncidentKind::Promotion,
-            at: Time::from_micros(90),
-            topic: TopicId(0),
-            seq: SeqNo(1),
-            detail: "promoted".into(),
-        });
-        let second = recorder.snapshot();
+        recorder.incident(
+            IncidentKind::Promotion,
+            TopicId(0),
+            SeqNo(1),
+            Time::from_micros(90),
+            "promoted".into(),
+        );
+        let second = recorder.flight_snapshot();
         dump.append(&second).unwrap();
 
         let read = FlightDump::read(dump.path()).unwrap();
@@ -157,7 +159,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("frame-flight-torn-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let dump = FlightDump::create(&dir).unwrap();
-        let snapshot = sample_recorder().snapshot();
+        let snapshot = sample_recorder().flight_snapshot();
         dump.append(&snapshot).unwrap();
         // Simulate an interrupted append: half a JSON object, no newline.
         let mut file = OpenOptions::new().append(true).open(dump.path()).unwrap();

@@ -3,9 +3,14 @@
 
 use std::fmt::Write as _;
 
+use crate::histogram::LatencyHistogram;
+use crate::profile::RoleProfileSnapshot;
 use crate::recorder::FlightSnapshot;
 use crate::span::{BudgetStage, SpanRecord};
-use crate::telemetry::TelemetrySnapshot;
+use crate::telemetry::{
+    DecisionCount, HeartbeatSnapshot, QueueGaugeSnapshot, ReactorLoopSnapshot, StageSnapshot,
+    TelemetrySnapshot, TopicSloSnapshot, TopicSnapshot,
+};
 use frame_types::SpanPoint;
 
 /// Serializes a snapshot to compact JSON — the text a `Stats` reply
@@ -42,8 +47,7 @@ pub fn flight_from_json(json: &str) -> Result<FlightSnapshot, serde_json::Error>
 
 /// Escapes a label value per the Prometheus text exposition rules:
 /// backslash, double quote and newline are backslash-escaped.
-pub fn escape_label_value(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
+fn escape_label_value(out: &mut String, value: &str) {
     for c in value.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -52,16 +56,25 @@ pub fn escape_label_value(value: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
+
+/// A family with a fixed set of samples: `(name, TYPE, HELP, samples)`,
+/// each sample a label set and its value.
+pub type FixedFamily<'a> = (
+    &'a str,
+    &'a str,
+    &'a str,
+    &'a [(&'a [(&'a str, &'a str)], u64)],
+);
 
 /// Incremental Prometheus text-exposition writer.
 ///
-/// Declaring a family writes its `# HELP`/`# TYPE` pair; samples must
-/// belong to the most recently declared family (Prometheus requires a
-/// family's samples to be consecutive). The writer enforces the
-/// conformance properties the exposition tests check: one HELP/TYPE pair
-/// per family, escaped label values, no duplicate series.
+/// Each family is written whole: its `# HELP`/`# TYPE` pair, then its
+/// samples, so a family's samples are consecutive as Prometheus
+/// requires. The writer enforces the conformance properties the
+/// exposition tests check: one HELP/TYPE pair per family, escaped label
+/// values, no duplicate series.
+#[derive(Default)]
 pub struct PromWriter {
     out: String,
     families: std::collections::BTreeSet<String>,
@@ -72,21 +85,26 @@ pub struct PromWriter {
 impl PromWriter {
     /// An empty exposition.
     pub fn new() -> PromWriter {
-        PromWriter {
-            out: String::new(),
-            families: std::collections::BTreeSet::new(),
-            series: std::collections::BTreeSet::new(),
-            current: String::new(),
+        PromWriter::default()
+    }
+
+    /// Writes each family with its samples, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a family name was already declared or a series (name +
+    /// label set) repeats.
+    pub fn fixed(&mut self, families: &[FixedFamily<'_>]) {
+        for (name, metric_type, help, samples) in families {
+            self.family(name, metric_type, help);
+            for (labels, value) in *samples {
+                self.sample(name, labels, value);
+            }
         }
     }
 
     /// Declares a metric family: exactly one `# HELP`/`# TYPE` pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` was already declared (duplicate HELP/TYPE blocks
-    /// are malformed exposition).
-    pub fn family(&mut self, name: &str, metric_type: &str, help: &str) {
+    fn family(&mut self, name: &str, metric_type: &str, help: &str) {
         assert!(
             self.families.insert(name.to_string()),
             "duplicate metric family {name}"
@@ -97,12 +115,7 @@ impl PromWriter {
     }
 
     /// Emits one sample of the current family. Label values are escaped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is not the most recently declared family or the
-    /// exact series (name + label set) was already emitted.
-    pub fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: impl std::fmt::Display) {
+    fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: impl std::fmt::Display) {
         assert_eq!(
             name, self.current,
             "sample {name} outside its family block (current: {})",
@@ -115,7 +128,9 @@ impl PromWriter {
                 if i > 0 {
                     head.push(',');
                 }
-                let _ = write!(head, "{k}=\"{}\"", escape_label_value(v));
+                let _ = write!(head, "{k}=\"");
+                escape_label_value(&mut head, v);
+                head.push('"');
             }
             head.push('}');
         }
@@ -126,12 +141,6 @@ impl PromWriter {
     /// The rendered exposition text.
     pub fn finish(self) -> String {
         self.out
-    }
-}
-
-impl Default for PromWriter {
-    fn default() -> Self {
-        PromWriter::new()
     }
 }
 
@@ -198,465 +207,363 @@ pub fn check_prometheus_conformance(text: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// How a per-row family reads its samples from one snapshot row.
+enum Read<R> {
+    /// One integer sample.
+    Int(fn(&R) -> u64),
+    /// One sample: a nanosecond total, exported in seconds.
+    Secs(fn(&R) -> u64),
+    /// Several integer samples told apart by one more label: the reader
+    /// yields the `i`-th (label value, sample) until it returns `None`.
+    Split(&'static str, fn(&R, usize) -> Option<(&'static str, u64)>),
+}
+
+use Read::{Int, Secs, Split};
+
+/// A family exported once per snapshot row: `(name, TYPE, HELP, read)`.
+type RowFamily<R> = (&'static str, &'static str, &'static str, Read<R>);
+
+/// The `i`-th exported latency quantile of `h`.
+fn quantile(h: &LatencyHistogram, i: usize) -> Option<(&'static str, u64)> {
+    let (q, label) = *[(0.5, "0.5"), (0.99, "0.99")].get(i)?;
+    Some((label, h.quantile(q).as_nanos()))
+}
+
+const STAGE_FAMILIES: &[RowFamily<StageSnapshot>] = &[
+    (
+        "frame_stage_latency_ns",
+        "gauge",
+        "Per-stage latency quantiles.",
+        Split("quantile", |s, i| quantile(&s.histogram, i)),
+    ),
+    (
+        "frame_stage_latency_ns_max",
+        "gauge",
+        "Per-stage maximum latency.",
+        Int(|s| s.histogram.max().as_nanos()),
+    ),
+    (
+        "frame_stage_latency_ns_count",
+        "counter",
+        "Per-stage latency samples recorded.",
+        Int(|s| s.histogram.len()),
+    ),
+];
+
+const TOPIC_FAMILIES: &[RowFamily<TopicSnapshot>] = &[
+    (
+        "frame_topic_latency_ns",
+        "gauge",
+        "Per-topic creation-to-delivery latency.",
+        Split("quantile", |t, i| quantile(&t.histogram, i)),
+    ),
+    (
+        "frame_topic_latency_ns_max",
+        "gauge",
+        "Per-topic maximum creation-to-delivery latency.",
+        Int(|t| t.histogram.max().as_nanos()),
+    ),
+    (
+        "frame_topic_latency_ns_count",
+        "counter",
+        "Per-topic deliveries recorded.",
+        Int(|t| t.histogram.len()),
+    ),
+];
+
+const SLO_FAMILIES: &[RowFamily<TopicSloSnapshot>] = &[
+    (
+        "frame_topic_deadline_misses_total",
+        "counter",
+        "Deliveries exceeding D_i.",
+        Int(|s| s.deadline_misses),
+    ),
+    (
+        "frame_topic_miss_by_stage_total",
+        "counter",
+        "Deadline misses by dominant budget stage.",
+        Split("stage", |s, i| {
+            Some((BudgetStage::from_index(i)?.name(), *s.miss_by_stage.get(i)?))
+        }),
+    ),
+    (
+        "frame_topic_max_loss_run",
+        "gauge",
+        "Longest consecutive-loss run vs L_i.",
+        Int(|s| s.max_loss_run),
+    ),
+    (
+        "frame_topic_loss_bound_violations_total",
+        "counter",
+        "Consecutive-loss runs exceeding L_i.",
+        Int(|s| s.loss_bound_violations),
+    ),
+];
+
+const DECISION_FAMILIES: &[RowFamily<DecisionCount>] = &[(
+    "frame_decisions_total",
+    "counter",
+    "Broker decisions by kind (Table 3).",
+    Int(|d| d.count),
+)];
+
+const HEARTBEAT_FAMILIES: &[RowFamily<HeartbeatSnapshot>] = &[
+    (
+        "frame_heartbeat_beats_total",
+        "counter",
+        "Liveness beats by signal kind.",
+        Int(|h| h.beats),
+    ),
+    (
+        "frame_heartbeat_last_beat_ns",
+        "gauge",
+        "Clock reading of the newest beat per signal kind.",
+        Int(|h| h.last_beat_ns),
+    ),
+];
+
+const QUEUE_FAMILIES: &[RowFamily<QueueGaugeSnapshot>] = &[
+    (
+        "frame_queue_depth",
+        "gauge",
+        "Live jobs in a broker's scheduler queue.",
+        Int(|q| q.depth),
+    ),
+    (
+        "frame_queue_high_watermark",
+        "gauge",
+        "Deepest the scheduler queue has been.",
+        Int(|q| q.high_watermark),
+    ),
+];
+
+const REACTOR_FAMILIES: &[RowFamily<ReactorLoopSnapshot>] = &[
+    (
+        "frame_reactor_registered_conns",
+        "gauge",
+        "Connections registered with a reactor event loop's poller.",
+        Int(|l| l.registered_conns),
+    ),
+    (
+        "frame_reactor_accepted_total",
+        "counter",
+        "Connections accepted by a reactor event loop.",
+        Int(|l| l.accepted),
+    ),
+    (
+        "frame_reactor_wakeups_total",
+        "counter",
+        "Poller wakeups of a reactor event loop.",
+        Int(|l| l.wakeups),
+    ),
+    (
+        "frame_reactor_read_budget_exhaustions_total",
+        "counter",
+        "Connections parked with their per-wakeup read budget spent.",
+        Int(|l| l.budget_exhaustions),
+    ),
+    (
+        "frame_reactor_write_queue_drops_total",
+        "counter",
+        "Delivery frames dropped on full per-connection write queues.",
+        Int(|l| l.write_queue_drops),
+    ),
+    (
+        "frame_reactor_busy_seconds_total",
+        "counter",
+        "Wall time a reactor event loop spent working between waits.",
+        Secs(|l| l.busy_ns),
+    ),
+    (
+        "frame_reactor_parked_seconds_total",
+        "counter",
+        "Wall time a reactor event loop spent parked in poller waits.",
+        Secs(|l| l.parked_ns),
+    ),
+];
+
+const ROLE_FAMILIES: &[RowFamily<RoleProfileSnapshot>] = &[
+    (
+        "frame_role_cpu_seconds_total",
+        "counter",
+        "CPU time self-stamped by a thread role (CLOCK_THREAD_CPUTIME_ID).",
+        Secs(|r| r.cpu_ns),
+    ),
+    (
+        "frame_role_allocations_total",
+        "counter",
+        "Heap allocations charged to a thread role by the counting allocator.",
+        Int(|r| r.allocs),
+    ),
+    (
+        "frame_role_deallocations_total",
+        "counter",
+        "Heap deallocations charged to a thread role.",
+        Int(|r| r.deallocs),
+    ),
+    (
+        "frame_role_allocated_bytes_total",
+        "counter",
+        "Heap bytes allocated by a thread role.",
+        Int(|r| r.alloc_bytes),
+    ),
+    (
+        "frame_role_heap_bytes",
+        "gauge",
+        "Live heap bytes currently attributed to a thread role.",
+        Int(|r| r.current_bytes),
+    ),
+    (
+        "frame_role_heap_peak_bytes",
+        "gauge",
+        "High-water mark of live heap bytes attributed to a thread role.",
+        Int(|r| r.peak_bytes),
+    ),
+    (
+        "frame_role_read_syscalls_total",
+        "counter",
+        "Kernel read-family calls counted on the ingress paths, by role.",
+        Int(|r| r.read_syscalls),
+    ),
+    (
+        "frame_role_write_syscalls_total",
+        "counter",
+        "Kernel write-family calls counted on the ingress paths, by role.",
+        Int(|r| r.write_syscalls),
+    ),
+];
+
+/// Writes every family of `table`, each with one sample group per row,
+/// the row labelled `key="label(row)"`.
+fn write_rows<'a, R: 'a>(
+    w: &mut PromWriter,
+    table: &[RowFamily<R>],
+    key: &str,
+    rows: impl IntoIterator<Item = &'a R>,
+    label: impl Fn(&R) -> String,
+) {
+    let rows: Vec<(String, &R)> = rows.into_iter().map(|r| (label(r), r)).collect();
+    for (name, metric_type, help, read) in table {
+        w.family(name, metric_type, help);
+        for (value, row) in &rows {
+            let labels = [(key, value.as_str())];
+            match read {
+                Int(f) => w.sample(name, &labels, f(row)),
+                Secs(f) => w.sample(name, &labels, format_args!("{:.9}", f(row) as f64 / 1e9)),
+                Split(sub, f) => {
+                    for (sub_value, sample) in (0..).map_while(|i| f(row, i)) {
+                        w.sample(name, &[labels[0], (sub, sub_value)], sample);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Renders a snapshot in the Prometheus text exposition format:
 /// per-stage and per-topic quantile gauges, queue/heartbeat gauges, and
 /// decision counters, all latencies in nanoseconds.
 pub fn render_prometheus(snapshot: &TelemetrySnapshot) -> String {
     let mut w = PromWriter::new();
-    w.family(
-        "frame_stage_latency_ns",
-        "gauge",
-        "Per-stage latency quantiles.",
-    );
-    for s in &snapshot.stages {
-        for (q, label) in [(0.5, "0.5"), (0.99, "0.99")] {
-            w.sample(
-                "frame_stage_latency_ns",
-                &[("stage", s.stage.name()), ("quantile", label)],
-                s.histogram.quantile(q).as_nanos(),
-            );
-        }
+    let stage = |s: &StageSnapshot| s.stage.name().to_string();
+    write_rows(&mut w, STAGE_FAMILIES, "stage", &snapshot.stages, stage);
+    let topic = |t: &TopicSnapshot| t.topic.0.to_string();
+    write_rows(&mut w, TOPIC_FAMILIES, "topic", &snapshot.topics, topic);
+    let slos = snapshot.slos.iter().filter(|s| s.deadline_ns > 0);
+    if slos.clone().next().is_some() {
+        let topic = |s: &TopicSloSnapshot| s.topic.0.to_string();
+        write_rows(&mut w, SLO_FAMILIES, "topic", slos, topic);
     }
-    w.family(
-        "frame_stage_latency_ns_max",
-        "gauge",
-        "Per-stage maximum latency.",
-    );
-    for s in &snapshot.stages {
-        w.sample(
-            "frame_stage_latency_ns_max",
-            &[("stage", s.stage.name())],
-            s.histogram.max().as_nanos(),
-        );
-    }
-    w.family(
-        "frame_stage_latency_ns_count",
-        "counter",
-        "Per-stage latency samples recorded.",
-    );
-    for s in &snapshot.stages {
-        w.sample(
-            "frame_stage_latency_ns_count",
-            &[("stage", s.stage.name())],
-            s.histogram.len(),
-        );
-    }
-    w.family(
-        "frame_topic_latency_ns",
-        "gauge",
-        "Per-topic creation-to-delivery latency.",
-    );
-    for t in &snapshot.topics {
-        for (q, label) in [(0.5, "0.5"), (0.99, "0.99")] {
-            w.sample(
-                "frame_topic_latency_ns",
-                &[("topic", &t.topic.0.to_string()), ("quantile", label)],
-                t.histogram.quantile(q).as_nanos(),
-            );
-        }
-    }
-    w.family(
-        "frame_topic_latency_ns_max",
-        "gauge",
-        "Per-topic maximum creation-to-delivery latency.",
-    );
-    for t in &snapshot.topics {
-        w.sample(
-            "frame_topic_latency_ns_max",
-            &[("topic", &t.topic.0.to_string())],
-            t.histogram.max().as_nanos(),
-        );
-    }
-    w.family(
-        "frame_topic_latency_ns_count",
-        "counter",
-        "Per-topic deliveries recorded.",
-    );
-    for t in &snapshot.topics {
-        w.sample(
-            "frame_topic_latency_ns_count",
-            &[("topic", &t.topic.0.to_string())],
-            t.histogram.len(),
-        );
-    }
-    if snapshot.slos.iter().any(|s| s.deadline_ns > 0) {
-        w.family(
-            "frame_topic_deadline_misses_total",
+    let kind = |d: &DecisionCount| d.kind.name().to_string();
+    write_rows(&mut w, DECISION_FAMILIES, "kind", &snapshot.decisions, kind);
+    let o = &snapshot.overload;
+    w.fixed(&[
+        (
+            "frame_admitted_total",
             "counter",
-            "Deliveries exceeding D_i.",
-        );
-        for s in snapshot.slos.iter().filter(|s| s.deadline_ns > 0) {
-            w.sample(
-                "frame_topic_deadline_misses_total",
-                &[("topic", &s.topic.0.to_string())],
-                s.deadline_misses,
-            );
-        }
-        w.family(
-            "frame_topic_miss_by_stage_total",
-            "counter",
-            "Deadline misses by dominant budget stage.",
-        );
-        for s in snapshot.slos.iter().filter(|s| s.deadline_ns > 0) {
-            for (i, count) in s.miss_by_stage.iter().enumerate() {
-                let Some(stage) = BudgetStage::from_index(i) else {
-                    continue;
-                };
-                w.sample(
-                    "frame_topic_miss_by_stage_total",
-                    &[("topic", &s.topic.0.to_string()), ("stage", stage.name())],
-                    count,
-                );
-            }
-        }
-        w.family(
-            "frame_topic_max_loss_run",
+            "Messages admitted at ingress.",
+            &[(&[], snapshot.admits)],
+        ),
+        (
+            "frame_overload_rung",
             "gauge",
-            "Longest consecutive-loss run vs L_i.",
-        );
-        for s in snapshot.slos.iter().filter(|s| s.deadline_ns > 0) {
-            w.sample(
-                "frame_topic_max_loss_run",
-                &[("topic", &s.topic.0.to_string())],
-                s.max_loss_run,
-            );
-        }
-        w.family(
-            "frame_topic_loss_bound_violations_total",
+            "Overload controller degradation rung (0 = normal service).",
+            &[(&[], o.rung)],
+        ),
+        (
+            "frame_overload_transitions_total",
             "counter",
-            "Consecutive-loss runs exceeding L_i.",
-        );
-        for s in snapshot.slos.iter().filter(|s| s.deadline_ns > 0) {
-            w.sample(
-                "frame_topic_loss_bound_violations_total",
-                &[("topic", &s.topic.0.to_string())],
-                s.loss_bound_violations,
-            );
-        }
-    }
-    w.family(
-        "frame_decisions_total",
-        "counter",
-        "Broker decisions by kind (Table 3).",
-    );
-    for d in &snapshot.decisions {
-        w.sample("frame_decisions_total", &[("kind", d.kind.name())], d.count);
-    }
-    w.family(
-        "frame_admitted_total",
-        "counter",
-        "Messages admitted at ingress.",
-    );
-    w.sample("frame_admitted_total", &[], snapshot.admits);
-    w.family(
-        "frame_overload_rung",
-        "gauge",
-        "Overload controller degradation rung (0 = normal service).",
-    );
-    w.sample("frame_overload_rung", &[], snapshot.overload.rung);
-    w.family(
-        "frame_overload_transitions_total",
-        "counter",
-        "Overload rung transitions by direction.",
-    );
-    w.sample(
-        "frame_overload_transitions_total",
-        &[("direction", "escalate")],
-        snapshot.overload.escalations,
-    );
-    w.sample(
-        "frame_overload_transitions_total",
-        &[("direction", "deescalate")],
-        snapshot.overload.deescalations,
-    );
-    w.family(
-        "frame_overload_degraded_topics",
-        "gauge",
-        "Topics currently degraded by the overload controller, by mode.",
-    );
-    w.sample(
-        "frame_overload_degraded_topics",
-        &[("mode", "suppressed")],
-        snapshot.overload.suppressed_topics,
-    );
-    w.sample(
-        "frame_overload_degraded_topics",
-        &[("mode", "shedding")],
-        snapshot.overload.shedding_topics,
-    );
-    w.sample(
-        "frame_overload_degraded_topics",
-        &[("mode", "evicted")],
-        snapshot.overload.evicted_topics,
-    );
-    w.family(
-        "frame_overload_pressure_millionths",
-        "gauge",
-        "Blended overload pressure at the last control tick (1e6 = saturated).",
-    );
-    w.sample(
-        "frame_overload_pressure_millionths",
-        &[],
-        snapshot.overload.pressure_millionths,
-    );
+            "Overload rung transitions by direction.",
+            &[
+                (&[("direction", "escalate")], o.escalations),
+                (&[("direction", "deescalate")], o.deescalations),
+            ],
+        ),
+        (
+            "frame_overload_degraded_topics",
+            "gauge",
+            "Topics currently degraded by the overload controller, by mode.",
+            &[
+                (&[("mode", "suppressed")], o.suppressed_topics),
+                (&[("mode", "shedding")], o.shedding_topics),
+                (&[("mode", "evicted")], o.evicted_topics),
+            ],
+        ),
+        (
+            "frame_overload_pressure_millionths",
+            "gauge",
+            "Blended overload pressure at the last control tick (1e6 = saturated).",
+            &[(&[], o.pressure_millionths)],
+        ),
+    ]);
     if !snapshot.heartbeats.is_empty() {
-        w.family(
-            "frame_heartbeat_beats_total",
-            "counter",
-            "Liveness beats by signal kind.",
+        let kind = |h: &HeartbeatSnapshot| h.kind.name().to_string();
+        write_rows(
+            &mut w,
+            HEARTBEAT_FAMILIES,
+            "kind",
+            &snapshot.heartbeats,
+            kind,
         );
-        for h in &snapshot.heartbeats {
-            w.sample(
-                "frame_heartbeat_beats_total",
-                &[("kind", h.kind.name())],
-                h.beats,
-            );
-        }
-        w.family(
-            "frame_heartbeat_last_beat_ns",
-            "gauge",
-            "Clock reading of the newest beat per signal kind.",
-        );
-        for h in &snapshot.heartbeats {
-            w.sample(
-                "frame_heartbeat_last_beat_ns",
-                &[("kind", h.kind.name())],
-                h.last_beat_ns,
-            );
-        }
     }
     if !snapshot.queues.is_empty() {
-        w.family(
-            "frame_queue_depth",
-            "gauge",
-            "Live jobs in a broker's scheduler queue.",
-        );
-        for q in &snapshot.queues {
-            w.sample(
-                "frame_queue_depth",
-                &[("broker", &q.broker.0.to_string())],
-                q.depth,
-            );
-        }
-        w.family(
-            "frame_queue_high_watermark",
-            "gauge",
-            "Deepest the scheduler queue has been.",
-        );
-        for q in &snapshot.queues {
-            w.sample(
-                "frame_queue_high_watermark",
-                &[("broker", &q.broker.0.to_string())],
-                q.high_watermark,
-            );
-        }
+        let broker = |q: &QueueGaugeSnapshot| q.broker.0.to_string();
+        write_rows(&mut w, QUEUE_FAMILIES, "broker", &snapshot.queues, broker);
     }
     if !snapshot.reactor_loops.is_empty() {
-        w.family(
-            "frame_reactor_registered_conns",
-            "gauge",
-            "Connections registered with a reactor event loop's poller.",
+        let index = |l: &ReactorLoopSnapshot| l.loop_index.to_string();
+        write_rows(
+            &mut w,
+            REACTOR_FAMILIES,
+            "loop",
+            &snapshot.reactor_loops,
+            index,
         );
-        for l in &snapshot.reactor_loops {
-            w.sample(
-                "frame_reactor_registered_conns",
-                &[("loop", &l.loop_index.to_string())],
-                l.registered_conns,
-            );
-        }
-        w.family(
-            "frame_reactor_accepted_total",
-            "counter",
-            "Connections accepted by a reactor event loop.",
-        );
-        for l in &snapshot.reactor_loops {
-            w.sample(
-                "frame_reactor_accepted_total",
-                &[("loop", &l.loop_index.to_string())],
-                l.accepted,
-            );
-        }
-        w.family(
-            "frame_reactor_wakeups_total",
-            "counter",
-            "Poller wakeups of a reactor event loop.",
-        );
-        for l in &snapshot.reactor_loops {
-            w.sample(
-                "frame_reactor_wakeups_total",
-                &[("loop", &l.loop_index.to_string())],
-                l.wakeups,
-            );
-        }
-        w.family(
-            "frame_reactor_read_budget_exhaustions_total",
-            "counter",
-            "Connections parked with their per-wakeup read budget spent.",
-        );
-        for l in &snapshot.reactor_loops {
-            w.sample(
-                "frame_reactor_read_budget_exhaustions_total",
-                &[("loop", &l.loop_index.to_string())],
-                l.budget_exhaustions,
-            );
-        }
-        w.family(
-            "frame_reactor_write_queue_drops_total",
-            "counter",
-            "Delivery frames dropped on full per-connection write queues.",
-        );
-        for l in &snapshot.reactor_loops {
-            w.sample(
-                "frame_reactor_write_queue_drops_total",
-                &[("loop", &l.loop_index.to_string())],
-                l.write_queue_drops,
-            );
-        }
-        w.family(
-            "frame_reactor_busy_seconds_total",
-            "counter",
-            "Wall time a reactor event loop spent working between waits.",
-        );
-        for l in &snapshot.reactor_loops {
-            w.sample(
-                "frame_reactor_busy_seconds_total",
-                &[("loop", &l.loop_index.to_string())],
-                format_args!("{:.9}", l.busy_ns as f64 / 1e9),
-            );
-        }
-        w.family(
-            "frame_reactor_parked_seconds_total",
-            "counter",
-            "Wall time a reactor event loop spent parked in poller waits.",
-        );
-        for l in &snapshot.reactor_loops {
-            w.sample(
-                "frame_reactor_parked_seconds_total",
-                &[("loop", &l.loop_index.to_string())],
-                format_args!("{:.9}", l.parked_ns as f64 / 1e9),
-            );
-        }
     }
     if !snapshot.roles.is_empty() {
-        w.family(
-            "frame_role_cpu_seconds_total",
-            "counter",
-            "CPU time self-stamped by a thread role (CLOCK_THREAD_CPUTIME_ID).",
-        );
-        for r in &snapshot.roles {
-            w.sample(
-                "frame_role_cpu_seconds_total",
-                &[("role", &r.role)],
-                format_args!("{:.9}", r.cpu_ns as f64 / 1e9),
-            );
-        }
-        w.family(
-            "frame_role_allocations_total",
-            "counter",
-            "Heap allocations charged to a thread role by the counting allocator.",
-        );
-        for r in &snapshot.roles {
-            w.sample(
-                "frame_role_allocations_total",
-                &[("role", &r.role)],
-                r.allocs,
-            );
-        }
-        w.family(
-            "frame_role_deallocations_total",
-            "counter",
-            "Heap deallocations charged to a thread role.",
-        );
-        for r in &snapshot.roles {
-            w.sample(
-                "frame_role_deallocations_total",
-                &[("role", &r.role)],
-                r.deallocs,
-            );
-        }
-        w.family(
-            "frame_role_allocated_bytes_total",
-            "counter",
-            "Heap bytes allocated by a thread role.",
-        );
-        for r in &snapshot.roles {
-            w.sample(
-                "frame_role_allocated_bytes_total",
-                &[("role", &r.role)],
-                r.alloc_bytes,
-            );
-        }
-        w.family(
-            "frame_role_heap_bytes",
-            "gauge",
-            "Live heap bytes currently attributed to a thread role.",
-        );
-        for r in &snapshot.roles {
-            w.sample(
-                "frame_role_heap_bytes",
-                &[("role", &r.role)],
-                r.current_bytes,
-            );
-        }
-        w.family(
-            "frame_role_heap_peak_bytes",
-            "gauge",
-            "High-water mark of live heap bytes attributed to a thread role.",
-        );
-        for r in &snapshot.roles {
-            w.sample(
-                "frame_role_heap_peak_bytes",
-                &[("role", &r.role)],
-                r.peak_bytes,
-            );
-        }
-        w.family(
-            "frame_role_read_syscalls_total",
-            "counter",
-            "Kernel read-family calls counted on the ingress paths, by role.",
-        );
-        for r in &snapshot.roles {
-            w.sample(
-                "frame_role_read_syscalls_total",
-                &[("role", &r.role)],
-                r.read_syscalls,
-            );
-        }
-        w.family(
-            "frame_role_write_syscalls_total",
-            "counter",
-            "Kernel write-family calls counted on the ingress paths, by role.",
-        );
-        for r in &snapshot.roles {
-            w.sample(
-                "frame_role_write_syscalls_total",
-                &[("role", &r.role)],
-                r.write_syscalls,
-            );
-        }
+        let role = |r: &RoleProfileSnapshot| r.role.clone();
+        write_rows(&mut w, ROLE_FAMILIES, "role", &snapshot.roles, role);
     }
-    w.family(
-        "frame_shard_contention_total",
-        "counter",
-        "Contended acquisitions of the broker lock.",
-    );
-    w.sample(
-        "frame_shard_contention_total",
-        &[],
-        snapshot.shard_contention,
-    );
-    w.family(
-        "frame_trace_retained_events",
-        "gauge",
-        "Decision-trace events currently retained.",
-    );
-    w.sample("frame_trace_retained_events", &[], snapshot.trace.len());
-    w.family(
-        "frame_incidents_total",
-        "counter",
-        "Incidents recorded since start-up.",
-    );
-    w.sample("frame_incidents_total", &[], snapshot.incident_count);
+    w.fixed(&[
+        (
+            "frame_shard_contention_total",
+            "counter",
+            "Contended acquisitions of the broker lock.",
+            &[(&[], snapshot.shard_contention)],
+        ),
+        (
+            "frame_trace_retained_events",
+            "gauge",
+            "Decision-trace events currently retained.",
+            &[(&[], snapshot.trace.len() as u64)],
+        ),
+        (
+            "frame_incidents_total",
+            "counter",
+            "Incidents recorded since start-up.",
+            &[(&[], snapshot.incident_count)],
+        ),
+    ]);
     w.finish()
 }
 
@@ -672,82 +579,83 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
+/// Writes an aligned table: a header of space-separated column names,
+/// then one line per row. The first column is left-aligned, the rest
+/// right-aligned, each padded to its width.
+fn table<const N: usize>(
+    out: &mut String,
+    header: &str,
+    widths: [usize; N],
+    rows: impl IntoIterator<Item = [String; N]>,
+) {
+    let mut names = header.split(' ');
+    let header = std::array::from_fn(|_| names.next().unwrap_or_default().to_string());
+    for row in std::iter::once(header).chain(rows) {
+        for (i, (cell, width)) in row.iter().zip(widths).enumerate() {
+            let _ = if i == 0 {
+                write!(out, "{cell:<width$}")
+            } else {
+                write!(out, " {cell:>width$}")
+            };
+        }
+        out.push('\n');
+    }
+}
+
+/// A latency table row: sample count, p50, p99 and max.
+fn latency_row(name: String, h: &LatencyHistogram) -> [String; 5] {
+    let [p50, p99, max] = [h.p50(), h.p99(), h.max()].map(|d| fmt_ns(d.as_nanos()));
+    [name, h.len().to_string(), p50, p99, max]
+}
+
 /// Renders the human-facing stats table: p50/p99/max per stage and per
 /// topic, then the decision totals and the tail of the trace.
 pub fn render_pretty(snapshot: &TelemetrySnapshot) -> String {
+    const LATENCY: [usize; 5] = [20, 10, 10, 10, 10];
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<20} {:>10} {:>10} {:>10} {:>10}",
-        "stage", "count", "p50", "p99", "max"
-    );
-    for s in &snapshot.stages {
-        let h = &s.histogram;
-        let _ = writeln!(
-            out,
-            "{:<20} {:>10} {:>10} {:>10} {:>10}",
-            s.stage.name(),
-            h.len(),
-            fmt_ns(h.p50().as_nanos()),
-            fmt_ns(h.p99().as_nanos()),
-            fmt_ns(h.max().as_nanos())
-        );
-    }
+    let stages = snapshot.stages.iter();
+    let stages = stages.map(|s| latency_row(s.stage.name().to_string(), &s.histogram));
+    table(&mut out, "stage count p50 p99 max", LATENCY, stages);
     if !snapshot.topics.is_empty() {
-        let _ = writeln!(
-            out,
-            "\n{:<20} {:>10} {:>10} {:>10} {:>10}",
-            "topic", "count", "p50", "p99", "max"
-        );
-        for t in &snapshot.topics {
-            let h = &t.histogram;
-            let _ = writeln!(
-                out,
-                "{:<20} {:>10} {:>10} {:>10} {:>10}",
-                format!("topic-{}", t.topic.0),
-                h.len(),
-                fmt_ns(h.p50().as_nanos()),
-                fmt_ns(h.p99().as_nanos()),
-                fmt_ns(h.max().as_nanos())
-            );
-        }
+        out.push('\n');
+        let topics = snapshot.topics.iter();
+        let topics = topics.map(|t| latency_row(format!("topic-{}", t.topic.0), &t.histogram));
+        table(&mut out, "topic count p50 p99 max", LATENCY, topics);
     }
-    let slos: Vec<_> = snapshot
+    let mut slos = snapshot
         .slos
         .iter()
         .filter(|s| s.deadline_ns > 0 || s.deadline_misses > 0 || s.lost > 0)
-        .collect();
-    if !slos.is_empty() {
-        let _ = writeln!(
-            out,
-            "\n{:<20} {:>10} {:>10} {:>10} {:>14} {:>10} {:>12}",
-            "slo", "deadline", "delivered", "misses", "worst_stage", "lost", "max_run/L_i"
-        );
-        for s in slos {
-            let bound = s
-                .loss_bound
-                .map_or_else(|| "-".to_string(), |b| b.to_string());
-            let _ = writeln!(
-                out,
-                "{:<20} {:>10} {:>10} {:>10} {:>14} {:>10} {:>12}",
+        .peekable();
+    if slos.peek().is_some() {
+        out.push('\n');
+        let header = "slo deadline delivered misses worst_stage lost max_run/L_i";
+        let rows = slos.map(|s| {
+            let bound = s.loss_bound.map_or("-".to_string(), |b| b.to_string());
+            [
                 format!("topic-{}", s.topic.0),
                 fmt_ns(s.deadline_ns),
-                s.delivered,
-                s.deadline_misses,
-                s.worst_stage.map_or("-", BudgetStage::name),
-                s.lost,
-                format!("{}/{}", s.max_loss_run, bound)
-            );
-        }
+                s.delivered.to_string(),
+                s.deadline_misses.to_string(),
+                s.worst_stage.map_or("-", BudgetStage::name).to_string(),
+                s.lost.to_string(),
+                format!("{}/{}", s.max_loss_run, bound),
+            ]
+        });
+        table(&mut out, header, [20, 10, 10, 10, 14, 10, 12], rows);
     }
-    let _ = writeln!(out, "\n{:<20} {:>10}", "decision", "count");
-    for d in &snapshot.decisions {
-        let _ = writeln!(out, "{:<20} {:>10}", d.kind.name(), d.count);
-    }
-    let _ = writeln!(
-        out,
-        "{:<20} {:>10}",
-        "shard_contention", snapshot.shard_contention
+    out.push('\n');
+    let decisions = snapshot.decisions.iter();
+    let decisions = decisions.map(|d| [d.kind.name().to_string(), d.count.to_string()]);
+    let contention = [
+        "shard_contention".to_string(),
+        snapshot.shard_contention.to_string(),
+    ];
+    table(
+        &mut out,
+        "decision count",
+        [20, 10],
+        decisions.chain([contention]),
     );
     let o = &snapshot.overload;
     if o.rung > 0 || o.escalations > 0 {
@@ -764,43 +672,36 @@ pub fn render_pretty(snapshot: &TelemetrySnapshot) -> String {
         );
     }
     if !snapshot.reactor_loops.is_empty() {
-        let _ = writeln!(
-            out,
-            "\n{:<20} {:>10} {:>10} {:>10} {:>14} {:>12}",
-            "reactor", "conns", "accepted", "wakeups", "budget_exh", "write_drops"
-        );
-        for l in &snapshot.reactor_loops {
-            let _ = writeln!(
-                out,
-                "{:<20} {:>10} {:>10} {:>10} {:>14} {:>12}",
-                format!("loop-{}", l.loop_index),
+        out.push('\n');
+        let header = "reactor conns accepted wakeups budget_exh write_drops";
+        let rows = snapshot.reactor_loops.iter().map(|l| {
+            let counts = [
                 l.registered_conns,
                 l.accepted,
                 l.wakeups,
                 l.budget_exhaustions,
-                l.write_queue_drops
-            );
-        }
+                l.write_queue_drops,
+            ];
+            let [a, b, c, d, e] = counts.map(|n| n.to_string());
+            [format!("loop-{}", l.loop_index), a, b, c, d, e]
+        });
+        table(&mut out, header, [20, 10, 10, 10, 14, 12], rows);
     }
     if !snapshot.roles.is_empty() {
-        let _ = writeln!(
-            out,
-            "\n{:<20} {:>10} {:>12} {:>12} {:>10} {:>8} {:>8}",
-            "role", "cpu", "allocs", "live_bytes", "peak", "reads", "writes"
-        );
-        for r in &snapshot.roles {
-            let _ = writeln!(
-                out,
-                "{:<20} {:>10} {:>12} {:>12} {:>10} {:>8} {:>8}",
-                r.role,
-                fmt_ns(r.cpu_ns),
+        out.push('\n');
+        let header = "role cpu allocs live_bytes peak reads writes";
+        let rows = snapshot.roles.iter().map(|r| {
+            let counts = [
                 r.allocs,
                 r.current_bytes,
                 r.peak_bytes,
                 r.read_syscalls,
-                r.write_syscalls
-            );
-        }
+                r.write_syscalls,
+            ];
+            let [a, b, c, d, e] = counts.map(|n| n.to_string());
+            [r.role.clone(), fmt_ns(r.cpu_ns), a, b, c, d, e]
+        });
+        table(&mut out, header, [20, 10, 12, 12, 10, 8, 8], rows);
     }
     if !snapshot.incidents.is_empty() {
         let _ = writeln!(
@@ -857,19 +758,13 @@ pub fn render_span_timeline(record: &SpanRecord) -> String {
     let created = record.created_ns;
     let _ = writeln!(out, "  {:<14} +0ns (publisher clock)", "created");
     for point in SpanPoint::ALL {
-        match record.stamps.get(point) {
-            Some(at) => {
-                let _ = writeln!(
-                    out,
-                    "  {:<14} +{}",
-                    point.name(),
-                    fmt_ns(at.as_nanos().saturating_sub(created))
-                );
-            }
-            None => {
-                let _ = writeln!(out, "  {:<14} (unstamped)", point.name());
-            }
-        }
+        let offset = record
+            .stamps
+            .get(point)
+            .map_or("(unstamped)".to_string(), |at| {
+                format!("+{}", fmt_ns(at.as_nanos().saturating_sub(created)))
+            });
+        let _ = writeln!(out, "  {:<14} {offset}", point.name());
     }
     let _ = writeln!(
         out,
@@ -908,21 +803,15 @@ pub fn render_flight_pretty(snapshot: &FlightSnapshot, detail: usize) -> String 
         snapshot.spans.len(),
         snapshot.incident_count
     );
-    if let Some(incident) = snapshot.last_incident() {
+    for (i, incident) in snapshot.incidents.iter().rev().enumerate() {
         let _ = writeln!(
             out,
-            "last incident: {} at {} topic-{} #{} {}",
-            incident.kind.name(),
-            incident.at,
-            incident.topic.0,
-            incident.seq.0,
-            incident.detail
-        );
-    }
-    for incident in snapshot.incidents.iter().rev().skip(1) {
-        let _ = writeln!(
-            out,
-            "  earlier: {} at {} topic-{} #{} {}",
+            "{} {} at {} topic-{} #{} {}",
+            if i == 0 {
+                "last incident:"
+            } else {
+                "  earlier:"
+            },
             incident.kind.name(),
             incident.at,
             incident.topic.0,
@@ -947,11 +836,9 @@ mod tests {
 
     fn sample() -> TelemetrySnapshot {
         let t = Telemetry::new();
-        t.ensure_topic(TopicId(3));
         t.set_topic_slo(TopicId(3), Duration::from_micros(500), Some(2));
         for us in [10u64, 100, 1000] {
             t.record_stage(Stage::DispatchExec, Duration::from_micros(us));
-            t.record_topic(TopicId(3), Duration::from_micros(us * 2));
         }
         // Two traced deliveries: seq 0 on time, then a gap of 3 (> L_i 2)
         // followed by seq 4 blowing the 500us deadline.
@@ -1047,7 +934,6 @@ mod tests {
     #[test]
     fn flight_snapshot_json_round_trips() {
         let t = Telemetry::new();
-        t.ensure_topic(TopicId(3));
         t.set_topic_slo(TopicId(3), Duration::from_micros(500), Some(2));
         let _ = sample_into(&t);
         let flight = t.flight_snapshot();
@@ -1189,7 +1075,9 @@ mod tests {
         let text = w.finish();
         assert!(text.contains("m{path=\"a\\\\b\\\"c\\nd\"} 1"));
         check_prometheus_conformance(&text).expect("escaped exposition conforms");
-        assert_eq!(escape_label_value("plain"), "plain");
+        let mut plain = String::new();
+        escape_label_value(&mut plain, "plain");
+        assert_eq!(plain, "plain");
     }
 
     #[test]

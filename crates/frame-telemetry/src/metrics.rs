@@ -11,7 +11,7 @@ use crate::histogram::{LatencyHistogram, BUCKETS};
 /// layout, but every bucket is a relaxed [`AtomicU64`], so delivery
 /// workers record without locks or allocation. [`AtomicHistogram::snapshot`]
 /// folds it into an ordinary [`LatencyHistogram`] for querying.
-pub struct AtomicHistogram {
+pub(crate) struct AtomicHistogram {
     counts: Box<[AtomicU64]>,
     max_ns: AtomicU64,
     min_ns: AtomicU64,
@@ -21,9 +21,8 @@ pub struct AtomicHistogram {
     sum_ns: AtomicU64,
 }
 
-impl AtomicHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> AtomicHistogram {
+impl Default for AtomicHistogram {
+    fn default() -> AtomicHistogram {
         AtomicHistogram {
             counts: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             max_ns: AtomicU64::new(0),
@@ -31,18 +30,15 @@ impl AtomicHistogram {
             sum_ns: AtomicU64::new(0),
         }
     }
+}
 
+impl AtomicHistogram {
     /// Records one latency sample. Wait-free: two relaxed RMW ops in the
     /// common case (the sample total is derived from the buckets at
     /// snapshot time, and max/min only pay a CAS when they actually move).
     #[inline]
-    pub fn record(&self, latency: Duration) {
-        self.record_ns(latency.as_nanos());
-    }
-
-    /// Records one latency sample given directly in nanoseconds.
-    #[inline]
-    pub fn record_ns(&self, ns: u64) {
+    pub(crate) fn record(&self, latency: Duration) {
+        let ns = latency.as_nanos();
         self.counts[LatencyHistogram::bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
         if ns > self.max_ns.load(Ordering::Relaxed) {
@@ -53,21 +49,10 @@ impl AtomicHistogram {
         }
     }
 
-    /// Number of recorded samples (folds the buckets; snapshot-path cost,
-    /// not meant for per-record use).
-    pub fn len(&self) -> u64 {
-        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Whether no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Folds the live buckets into an ordinary histogram. Concurrent
     /// recording continues; the snapshot is a consistent-enough view (each
     /// field is read once, so totals may trail in-flight samples by a few).
-    pub fn snapshot(&self) -> LatencyHistogram {
+    pub(crate) fn snapshot(&self) -> LatencyHistogram {
         let counts: Vec<u64> = self
             .counts
             .iter()
@@ -86,30 +71,18 @@ impl AtomicHistogram {
     }
 }
 
-impl Default for AtomicHistogram {
-    fn default() -> Self {
-        AtomicHistogram::new()
-    }
-}
-
-impl std::fmt::Debug for AtomicHistogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AtomicHistogram")
-            .field("len", &self.len())
-            .finish()
-    }
-}
-
 const SHARDS: usize = 16;
 
 /// Padded to a cache line so shards on different cores don't false-share.
 #[repr(align(64))]
+#[derive(Default)]
 struct PaddedCounter(AtomicU64);
 
 /// A counter sharded across cache lines: concurrent workers increment
 /// distinct shards (assigned per thread, round-robin), and
 /// [`ShardedCounter::get`] folds them. Wait-free on the increment path.
-pub struct ShardedCounter {
+#[derive(Default)]
+pub(crate) struct ShardedCounter {
     shards: [PaddedCounter; SHARDS],
 }
 
@@ -124,57 +97,30 @@ fn thread_shard() -> usize {
 }
 
 impl ShardedCounter {
-    /// Creates a zeroed counter.
-    pub fn new() -> ShardedCounter {
-        ShardedCounter {
-            shards: std::array::from_fn(|_| PaddedCounter(AtomicU64::new(0))),
-        }
-    }
-
-    /// Adds `n` to this thread's shard.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.shards[thread_shard()]
-            .0
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Increments this thread's shard.
     #[inline]
-    pub fn incr(&self) {
-        self.add(1);
+    pub(crate) fn incr(&self) {
+        self.shards[thread_shard()]
+            .0
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Increments the shard picked by `hint % SHARDS`. Lets callers that
     /// already hold a distributed value (e.g. a ring write index) spread
-    /// contention without the thread-local lookup of [`ShardedCounter::add`].
+    /// contention without the thread-local lookup of [`ShardedCounter::incr`].
     #[inline]
-    pub fn incr_spread(&self, hint: u64) {
+    pub(crate) fn incr_spread(&self, hint: u64) {
         self.shards[(hint % SHARDS as u64) as usize]
             .0
             .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Folds every shard into the current total.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.shards
             .iter()
             .map(|s| s.0.load(Ordering::Relaxed))
             .sum()
-    }
-}
-
-impl Default for ShardedCounter {
-    fn default() -> Self {
-        ShardedCounter::new()
-    }
-}
-
-impl std::fmt::Debug for ShardedCounter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedCounter")
-            .field("value", &self.get())
-            .finish()
     }
 }
 
@@ -185,7 +131,7 @@ mod tests {
 
     #[test]
     fn atomic_histogram_matches_plain() {
-        let a = AtomicHistogram::new();
+        let a = AtomicHistogram::default();
         let mut p = LatencyHistogram::new();
         for us in 1..=1000u64 {
             a.record(Duration::from_micros(us));
@@ -203,13 +149,13 @@ mod tests {
 
     #[test]
     fn concurrent_recording_loses_nothing() {
-        let h = Arc::new(AtomicHistogram::new());
+        let h = Arc::new(AtomicHistogram::default());
         let threads: Vec<_> = (0..4)
             .map(|t| {
                 let h = h.clone();
                 std::thread::spawn(move || {
                     for i in 0..10_000u64 {
-                        h.record_ns(t * 1_000 + i % 997);
+                        h.record(Duration::from_nanos(t * 1_000 + i % 997));
                     }
                 })
             })
@@ -222,7 +168,7 @@ mod tests {
 
     #[test]
     fn sharded_counter_folds_across_threads() {
-        let c = Arc::new(ShardedCounter::new());
+        let c = Arc::new(ShardedCounter::default());
         let threads: Vec<_> = (0..8)
             .map(|_| {
                 let c = c.clone();

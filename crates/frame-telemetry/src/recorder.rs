@@ -1,16 +1,11 @@
-//! The flight recorder: a fixed-capacity, lock-free ring of recent
-//! delivery spans plus a small cold-path queue of incidents (deadline
-//! misses, loss-bound violations, admission rejections, promotions).
+//! The flight recorder: a ring of recent delivery spans plus a small
+//! cold-path queue of incidents (deadline misses, loss-bound violations,
+//! admission rejections, promotions).
 //!
-//! The ring uses the same seqlock protocol as
-//! [`DecisionTrace`](crate::trace::DecisionTrace): a writer claims a slot
-//! with one relaxed `fetch_add`, parks its stamp, stores the raw span
-//! fields with relaxed ordering, then publishes the (index + 1) stamp with
-//! a release store. Snapshotting validates each slot before and after the
-//! copy and skips torn reads, so dumping the recorder never blocks a
-//! delivery thread. Slots hold only raw `u64`s — the budget decomposition
-//! is recomputed at snapshot time from the stored stamps, keeping the hot
-//! path to ~10 relaxed stores.
+//! Spans live in a [`Ring`] of [`SPAN_WORDS`]-word records, so dumping the
+//! recorder never blocks a delivery thread. A record holds only raw `u64`s
+//! — the budget decomposition is recomputed at snapshot time from the
+//! stored stamps, keeping the hot path to one ring write.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,6 +14,7 @@ use std::sync::Mutex;
 use frame_types::{SeqNo, SpanPoint, Time, TopicId, TraceCtx};
 use serde::{Deserialize, Serialize};
 
+use crate::ring::Ring;
 use crate::span::SpanRecord;
 
 /// Why a flight-recorder dump fired.
@@ -105,40 +101,13 @@ pub struct Incident {
     pub detail: String,
 }
 
-const EMPTY: u64 = 0;
-const CLAIMED: u64 = u64::MAX;
-const STAMPS: usize = SpanPoint::ALL.len();
+/// Words per span record: topic, seq, created, delivered, deadline, then
+/// the [`SpanPoint`] stamps.
+const SPAN_WORDS: usize = 5 + SpanPoint::ALL.len();
 
-struct Slot {
-    stamp: AtomicU64,
-    topic: AtomicU64,
-    seq: AtomicU64,
-    created: AtomicU64,
-    delivered: AtomicU64,
-    deadline: AtomicU64,
-    spans: [AtomicU64; STAMPS],
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            stamp: AtomicU64::new(EMPTY),
-            topic: AtomicU64::new(0),
-            seq: AtomicU64::new(0),
-            created: AtomicU64::new(0),
-            delivered: AtomicU64::new(0),
-            deadline: AtomicU64::new(0),
-            spans: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-/// Fixed-capacity lock-free ring of recent delivery spans, with a bounded
-/// incident queue on the side.
-pub struct FlightRecorder {
-    slots: Box<[Slot]>,
-    /// Monotone count of spans ever recorded (the next write index).
-    head: AtomicU64,
+/// The span ring with a bounded incident queue on the side.
+pub(crate) struct FlightRecorder {
+    spans: Ring<SPAN_WORDS>,
     /// Monotone count of incidents ever recorded; sinks poll this to
     /// decide when to dump.
     incident_count: AtomicU64,
@@ -155,32 +124,19 @@ impl FlightRecorder {
     /// # Panics
     ///
     /// Panics if either capacity is zero.
-    pub fn new(capacity: usize, incident_capacity: usize) -> FlightRecorder {
-        assert!(capacity > 0, "flight recorder capacity must be positive");
+    pub(crate) fn new(capacity: usize, incident_capacity: usize) -> FlightRecorder {
         assert!(incident_capacity > 0, "incident capacity must be positive");
         FlightRecorder {
-            slots: (0..capacity).map(|_| Slot::new()).collect(),
-            head: AtomicU64::new(0),
+            spans: Ring::new(capacity),
             incident_count: AtomicU64::new(0),
             incidents: Mutex::new(VecDeque::with_capacity(incident_capacity)),
             incident_capacity,
         }
     }
 
-    /// Ring capacity (spans retained).
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total spans ever recorded (including overwritten ones).
-    pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
-    }
-
-    /// Records one delivery span. Lock-free: one relaxed RMW plus ~10
-    /// relaxed stores bracketed by two release stores.
+    /// Records one delivery span: one ring write.
     #[inline]
-    pub fn record(
+    pub(crate) fn record(
         &self,
         topic: TopicId,
         seq: SeqNo,
@@ -189,40 +145,27 @@ impl FlightRecorder {
         trace: Option<&TraceCtx>,
         deadline_ns: u64,
     ) {
-        let index = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(index % self.slots.len() as u64) as usize];
-        slot.stamp.store(CLAIMED, Ordering::Release);
-        slot.topic.store(u64::from(topic.0), Ordering::Relaxed);
-        slot.seq.store(seq.0, Ordering::Relaxed);
-        slot.created.store(created_at.as_nanos(), Ordering::Relaxed);
-        slot.delivered
-            .store(delivered_at.as_nanos(), Ordering::Relaxed);
-        slot.deadline.store(deadline_ns, Ordering::Relaxed);
-        let stamps = trace.map_or([0; STAMPS], TraceCtx::stamps);
-        for (cell, ns) in slot.spans.iter().zip(stamps) {
-            cell.store(ns, Ordering::Relaxed);
+        let mut words = [0; SPAN_WORDS];
+        words[..5].copy_from_slice(&[
+            u64::from(topic.0),
+            seq.0,
+            created_at.as_nanos(),
+            delivered_at.as_nanos(),
+            deadline_ns,
+        ]);
+        if let Some(trace) = trace {
+            words[5..].copy_from_slice(&trace.stamps());
         }
-        slot.stamp.store(index + 1, Ordering::Release);
-    }
-
-    /// Records an incident and bumps the incident counter.
-    pub fn incident(&self, incident: Incident) {
-        let mut incidents = self.incidents.lock().expect("incidents lock");
-        if incidents.len() == self.incident_capacity {
-            incidents.pop_front();
-        }
-        incidents.push_back(incident);
-        drop(incidents);
-        self.incident_count.fetch_add(1, Ordering::Release);
+        self.spans.record(words);
     }
 
     /// Records an incident whose detail is written by `detail` into a
-    /// staging buffer recycled from the incident the ring evicts. Once the
-    /// ring is full — which is exactly when incidents are frequent enough
-    /// to matter — each call reuses the evicted detail's capacity, so
-    /// sustained incident storms (deadline-miss bursts, admission-boundary
-    /// shedding) stop allocating on the hot path.
-    pub fn incident_with(
+    /// staging buffer recycled from the incident the queue evicts. Once
+    /// the queue is full — which is exactly when incidents are frequent
+    /// enough to matter — each call reuses the evicted detail's capacity,
+    /// so sustained incident storms (deadline-miss bursts,
+    /// admission-boundary shedding) stop allocating on the hot path.
+    pub(crate) fn incident_with(
         &self,
         kind: IncidentKind,
         topic: TopicId,
@@ -232,7 +175,7 @@ impl FlightRecorder {
     ) {
         let mut incidents = self.incidents.lock().expect("incidents lock");
         let mut staged = if incidents.len() == self.incident_capacity {
-            let mut recycled = incidents.pop_front().expect("ring is full").detail;
+            let mut recycled = incidents.pop_front().expect("queue is full").detail;
             recycled.clear();
             recycled
         } else {
@@ -252,50 +195,29 @@ impl FlightRecorder {
 
     /// Total incidents ever recorded. Monotone; sinks compare successive
     /// readings to detect new incidents without taking the lock.
-    pub fn incident_count(&self) -> u64 {
+    pub(crate) fn incident_count(&self) -> u64 {
         self.incident_count.load(Ordering::Acquire)
     }
 
-    /// Copies out the retained spans (oldest first, torn slots skipped),
-    /// re-attributing each from its raw stamps.
-    pub fn spans(&self) -> Vec<SpanRecord> {
-        let head = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        let start = head.saturating_sub(cap);
-        let mut records = Vec::with_capacity((head - start) as usize);
-        for index in start..head {
-            let slot = &self.slots[(index % cap) as usize];
-            let before = slot.stamp.load(Ordering::Acquire);
-            if before != index + 1 {
-                continue; // overwritten or still in flight
-            }
-            let topic = slot.topic.load(Ordering::Relaxed);
-            let seq = slot.seq.load(Ordering::Relaxed);
-            let created = slot.created.load(Ordering::Relaxed);
-            let delivered = slot.delivered.load(Ordering::Relaxed);
-            let deadline = slot.deadline.load(Ordering::Relaxed);
-            let mut stamps = [0u64; STAMPS];
-            for (ns, cell) in stamps.iter_mut().zip(&slot.spans) {
-                *ns = cell.load(Ordering::Relaxed);
-            }
-            if slot.stamp.load(Ordering::Acquire) != before {
-                continue; // torn read: a writer lapped us mid-copy
-            }
-            let trace = TraceCtx::from_stamps(stamps);
-            records.push(SpanRecord::attribute(
-                TopicId(topic as u32),
-                SeqNo(seq),
-                Time::from_nanos(created),
-                Time::from_nanos(delivered),
+    /// The retained spans (oldest first), each re-attributed from its raw
+    /// stamps.
+    pub(crate) fn spans(&self) -> Vec<SpanRecord> {
+        let decode = |words: [u64; SPAN_WORDS]| {
+            let trace = TraceCtx::from_stamps(words[5..].try_into().expect("stamp words"));
+            Some(SpanRecord::attribute(
+                TopicId(words[0] as u32),
+                SeqNo(words[1]),
+                Time::from_nanos(words[2]),
+                Time::from_nanos(words[3]),
                 (!trace.is_empty()).then_some(&trace),
-                deadline,
-            ));
-        }
-        records
+                words[4],
+            ))
+        };
+        self.spans.collect_since(0, decode).0
     }
 
     /// The retained incidents, oldest first.
-    pub fn incidents(&self) -> Vec<Incident> {
+    pub(crate) fn incidents(&self) -> Vec<Incident> {
         self.incidents
             .lock()
             .expect("incidents lock")
@@ -305,22 +227,12 @@ impl FlightRecorder {
     }
 
     /// A serializable copy of the whole recorder state.
-    pub fn snapshot(&self) -> FlightSnapshot {
+    pub(crate) fn snapshot(&self) -> FlightSnapshot {
         FlightSnapshot {
             incident_count: self.incident_count(),
             incidents: self.incidents(),
             spans: self.spans(),
         }
-    }
-}
-
-impl std::fmt::Debug for FlightRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlightRecorder")
-            .field("capacity", &self.slots.len())
-            .field("recorded", &self.recorded())
-            .field("incidents", &self.incident_count())
-            .finish()
     }
 }
 
@@ -393,20 +305,19 @@ mod tests {
         }
         let seqs: Vec<u64> = r.spans().iter().map(|s| s.seq.0).collect();
         assert_eq!(seqs, vec![6, 7, 8, 9]);
-        assert_eq!(r.recorded(), 10);
     }
 
     #[test]
     fn incidents_are_capped_and_counted() {
         let r = FlightRecorder::new(4, 2);
         for i in 0..3u64 {
-            r.incident(Incident {
-                kind: IncidentKind::DeadlineMiss,
-                at: Time::from_nanos(i),
-                topic: TopicId(1),
-                seq: SeqNo(i),
-                detail: String::new(),
-            });
+            r.incident_with(
+                IncidentKind::DeadlineMiss,
+                TopicId(1),
+                SeqNo(i),
+                Time::from_nanos(i),
+                |_| {},
+            );
         }
         assert_eq!(r.incident_count(), 3);
         let kept = r.incidents();
@@ -455,31 +366,5 @@ mod tests {
                 "shed at admission: run 6"
             ]
         );
-    }
-
-    #[test]
-    fn concurrent_writers_never_corrupt() {
-        use std::sync::Arc;
-        let r = Arc::new(FlightRecorder::new(64, 4));
-        let writers: Vec<_> = (0..4)
-            .map(|w| {
-                let r = r.clone();
-                std::thread::spawn(move || {
-                    for i in 0..1000u64 {
-                        record_span(&r, w * 10_000 + i, 500);
-                    }
-                })
-            })
-            .collect();
-        for _ in 0..50 {
-            for s in r.spans() {
-                assert_eq!(s.slice_sum_ns(), s.e2e_ns);
-            }
-        }
-        for w in writers {
-            w.join().unwrap();
-        }
-        assert_eq!(r.recorded(), 4000);
-        assert_eq!(r.spans().len(), 64);
     }
 }

@@ -4,7 +4,7 @@
 //! by every component of a running system.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 use frame_types::{BrokerId, Duration, SeqNo, Time, TopicId, TraceCtx};
 use serde::{Deserialize, Serialize};
@@ -12,18 +12,19 @@ use serde::{Deserialize, Serialize};
 use crate::histogram::LatencyHistogram;
 use crate::metrics::{AtomicHistogram, ShardedCounter};
 use crate::recorder::{FlightRecorder, FlightSnapshot, Incident, IncidentKind};
+use crate::ring::Ring;
 use crate::span::{attribute, BudgetStage};
 use crate::stage::Stage;
-use crate::trace::{DecisionEvent, DecisionKind, DecisionTrace};
+use crate::trace::{DecisionEvent, DecisionKind, TRACE_WORDS};
 
-/// Default decision-trace capacity (events retained).
-pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
+/// Decision-trace capacity (events retained).
+const TRACE_CAPACITY: usize = 4096;
 
-/// Default flight-recorder capacity (delivery spans retained).
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 1024;
+/// Flight-recorder capacity (delivery spans retained).
+const FLIGHT_CAPACITY: usize = 1024;
 
-/// Default incident-queue capacity.
-pub const DEFAULT_INCIDENT_CAPACITY: usize = 64;
+/// Incident-queue capacity.
+const INCIDENT_CAPACITY: usize = 64;
 
 /// Sentinel for "no consecutive-loss bound" (best-effort topics).
 const NO_LOSS_BOUND: u64 = u64::MAX;
@@ -77,6 +78,7 @@ impl std::fmt::Display for HeartbeatKind {
 }
 
 /// One heartbeat kind's liveness counters.
+#[derive(Default)]
 struct HeartbeatEntry {
     /// Clock reading of the most recent beat (nanoseconds); zero until the
     /// first beat, which doubles as "this signal was never active".
@@ -87,6 +89,7 @@ struct HeartbeatEntry {
 /// One broker's queue gauges. Depth is stored (not added) under the
 /// broker lock at every push/pop/cancel site, so store order equals
 /// mutation order and the last store is the true depth.
+#[derive(Default)]
 struct QueueEntry {
     depth: AtomicU64,
     high_watermark: AtomicU64,
@@ -95,6 +98,7 @@ struct QueueEntry {
 /// One reactor event loop's ingress counters. `registered` is a gauge
 /// (stored by the owning loop, which is the only writer); the rest are
 /// monotonic counters.
+#[derive(Default)]
 struct ReactorLoopEntry {
     registered: AtomicU64,
     accepted: AtomicU64,
@@ -204,10 +208,10 @@ struct TopicEntry {
     loss_bound_violations: AtomicU64,
 }
 
-impl TopicEntry {
-    fn new() -> TopicEntry {
+impl Default for TopicEntry {
+    fn default() -> TopicEntry {
         TopicEntry {
-            histogram: AtomicHistogram::new(),
+            histogram: AtomicHistogram::default(),
             deadline_ns: AtomicU64::new(0),
             loss_bound: AtomicU64::new(NO_LOSS_BOUND),
             delivered: AtomicU64::new(0),
@@ -224,13 +228,11 @@ impl TopicEntry {
 struct Inner {
     stages: [AtomicHistogram; Stage::ALL.len()],
     decisions: [ShardedCounter; DecisionKind::ALL.len()],
-    trace: DecisionTrace,
+    trace: Ring<TRACE_WORDS>,
     /// Per-topic delivery histograms and SLO counters. Registration takes
-    /// the write lock (cold: once per topic); recording takes the read
-    /// lock and scans — topic counts are small and the slice is
-    /// append-only.
-    /// Sorted by `TopicId` so the per-delivery hot path can binary-search.
-    topics: RwLock<Vec<(TopicId, Arc<TopicEntry>)>>,
+    /// the write lock (cold: once per topic); the per-delivery path
+    /// binary-searches under the read lock.
+    topics: Registry<TopicId, TopicEntry>,
     /// Times the message path (admission or a worker) found the broker
     /// lock already held and had to block for it (threaded runtime only).
     /// High values relative to dispatch counts mean the one lock over
@@ -241,12 +243,11 @@ struct Inner {
     admits: ShardedCounter,
     /// Liveness beats by kind ([`HeartbeatKind::ALL`] order).
     heartbeats: [HeartbeatEntry; HeartbeatKind::ALL.len()],
-    /// Per-broker queue gauges, sorted by `BrokerId` (same append-only
-    /// binary-searched scheme as `topics`).
-    queues: RwLock<Vec<(BrokerId, Arc<QueueEntry>)>>,
-    /// Per-event-loop reactor counters, sorted by loop index (same
-    /// append-only scheme; loops resolve their entry once at start-up).
-    reactor_loops: RwLock<Vec<(u64, Arc<ReactorLoopEntry>)>>,
+    /// Per-broker queue gauges.
+    queues: Registry<BrokerId, QueueEntry>,
+    /// Per-event-loop reactor counters (loops resolve their entry once at
+    /// start-up).
+    reactor_loops: Registry<u64, ReactorLoopEntry>,
     /// Overload-controller state gauges and transition counters.
     overload: OverloadEntry,
     /// Recent delivery spans + incidents.
@@ -256,6 +257,7 @@ struct Inner {
 /// Overload-controller gauges: the rung and per-rung degraded-topic
 /// counts are stored by the controller's tick (single writer), the
 /// transition counters are monotone.
+#[derive(Default)]
 struct OverloadEntry {
     rung: AtomicU64,
     escalations: AtomicU64,
@@ -267,56 +269,44 @@ struct OverloadEntry {
     pressure_millionths: AtomicU64,
 }
 
-impl Inner {
-    /// The entry for `topic`, created if absent (write-locks only on
-    /// first sight of a topic).
-    fn entry(&self, topic: TopicId) -> Arc<TopicEntry> {
-        if let Some(e) = self.lookup(topic) {
-            return e;
+/// A sorted, append-only map from key to shared entry. Registration
+/// write-locks once per key; lookups binary-search under the read lock.
+struct Registry<K, E>(RwLock<Vec<(K, Arc<E>)>>);
+
+impl<K, E> Default for Registry<K, E> {
+    fn default() -> Self {
+        Registry(RwLock::new(Vec::new()))
+    }
+}
+
+impl<K: Ord + Copy, E: Default> Registry<K, E> {
+    /// The entries, sorted by key.
+    fn read(&self) -> RwLockReadGuard<'_, Vec<(K, Arc<E>)>> {
+        self.0.read().expect("registry lock")
+    }
+
+    /// The entry for `key`, created if absent.
+    fn get_or_insert(&self, key: K) -> Arc<E> {
+        if let Some(entry) = find(&self.read(), key) {
+            return entry.clone();
         }
-        let mut topics = self.topics.write().expect("topics lock");
-        match topics.binary_search_by_key(&topic.0, |(t, _)| t.0) {
-            Ok(i) => topics[i].1.clone(),
+        let mut entries = self.0.write().expect("registry lock");
+        match entries.binary_search_by_key(&key, |(k, _)| *k) {
+            Ok(i) => entries[i].1.clone(),
             Err(i) => {
-                let entry = Arc::new(TopicEntry::new());
-                topics.insert(i, (topic, entry.clone()));
+                let entry = Arc::<E>::default();
+                entries.insert(i, (key, entry.clone()));
                 entry
             }
         }
     }
+}
 
-    /// The entry for `topic`, if registered. Binary search over the
-    /// sorted registry — this sits on the per-delivery hot path.
-    #[inline]
-    fn lookup(&self, topic: TopicId) -> Option<Arc<TopicEntry>> {
-        let topics = self.topics.read().expect("topics lock");
-        topics
-            .binary_search_by_key(&topic.0, |(t, _)| t.0)
-            .ok()
-            .map(|i| topics[i].1.clone())
-    }
-
-    /// The queue-gauge entry for `broker`, created if absent.
-    fn queue_entry(&self, broker: BrokerId) -> Arc<QueueEntry> {
-        {
-            let queues = self.queues.read().expect("queues lock");
-            if let Ok(i) = queues.binary_search_by_key(&broker.0, |(b, _)| b.0) {
-                return queues[i].1.clone();
-            }
-        }
-        let mut queues = self.queues.write().expect("queues lock");
-        match queues.binary_search_by_key(&broker.0, |(b, _)| b.0) {
-            Ok(i) => queues[i].1.clone(),
-            Err(i) => {
-                let entry = Arc::new(QueueEntry {
-                    depth: AtomicU64::new(0),
-                    high_watermark: AtomicU64::new(0),
-                });
-                queues.insert(i, (broker, entry.clone()));
-                entry
-            }
-        }
-    }
+/// The entry for `key` in a registry's sorted entries.
+#[inline]
+fn find<K: Ord + Copy, E>(entries: &[(K, Arc<E>)], key: K) -> Option<&Arc<E>> {
+    let i = entries.binary_search_by_key(&key, |(k, _)| *k).ok()?;
+    Some(&entries[i].1)
 }
 
 /// Handle to a telemetry registry. Cloning shares the registry; a
@@ -330,7 +320,7 @@ pub struct Telemetry {
 impl Telemetry {
     /// Creates an enabled registry with the default trace capacity.
     pub fn new() -> Telemetry {
-        Telemetry::with_trace_capacity(DEFAULT_TRACE_CAPACITY)
+        Telemetry::with_trace_capacity(TRACE_CAPACITY)
     }
 
     /// Creates an enabled registry retaining the newest `trace_capacity`
@@ -338,28 +328,17 @@ impl Telemetry {
     pub fn with_trace_capacity(trace_capacity: usize) -> Telemetry {
         Telemetry {
             inner: Some(Arc::new(Inner {
-                stages: std::array::from_fn(|_| AtomicHistogram::new()),
-                decisions: std::array::from_fn(|_| ShardedCounter::new()),
-                trace: DecisionTrace::new(trace_capacity),
-                topics: RwLock::new(Vec::new()),
-                shard_contention: ShardedCounter::new(),
-                admits: ShardedCounter::new(),
-                heartbeats: std::array::from_fn(|_| HeartbeatEntry {
-                    last_beat_ns: AtomicU64::new(0),
-                    beats: AtomicU64::new(0),
-                }),
-                queues: RwLock::new(Vec::new()),
-                reactor_loops: RwLock::new(Vec::new()),
-                overload: OverloadEntry {
-                    rung: AtomicU64::new(0),
-                    escalations: AtomicU64::new(0),
-                    deescalations: AtomicU64::new(0),
-                    suppressed_topics: AtomicU64::new(0),
-                    shedding_topics: AtomicU64::new(0),
-                    evicted_topics: AtomicU64::new(0),
-                    pressure_millionths: AtomicU64::new(0),
-                },
-                flight: FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY, DEFAULT_INCIDENT_CAPACITY),
+                stages: Default::default(),
+                decisions: Default::default(),
+                trace: Ring::new(trace_capacity),
+                topics: Registry::default(),
+                shard_contention: ShardedCounter::default(),
+                admits: ShardedCounter::default(),
+                heartbeats: Default::default(),
+                queues: Registry::default(),
+                reactor_loops: Registry::default(),
+                overload: OverloadEntry::default(),
+                flight: FlightRecorder::new(FLIGHT_CAPACITY, INCIDENT_CAPACITY),
             })),
         }
     }
@@ -367,6 +346,12 @@ impl Telemetry {
     /// A no-op handle: every recording method returns after one branch.
     pub fn disabled() -> Telemetry {
         Telemetry { inner: None }
+    }
+
+    /// `f` applied to the live registry; `T::default()` for a disabled
+    /// handle.
+    fn read<T: Default>(&self, f: impl FnOnce(&Inner) -> T) -> T {
+        self.inner.as_deref().map_or_else(T::default, f)
     }
 
     /// Whether this handle records anything.
@@ -382,28 +367,14 @@ impl Telemetry {
         }
     }
 
-    /// Records a latency sample for `stage`, given in nanoseconds.
-    #[inline]
-    pub fn record_stage_ns(&self, stage: Stage, ns: u64) {
-        if let Some(inner) = &self.inner {
-            inner.stages[stage.index()].record_ns(ns);
-        }
-    }
-
-    /// Registers `topic` in the per-topic registry (idempotent; called at
-    /// topic-registration time so the delivery path never write-locks).
-    pub fn ensure_topic(&self, topic: TopicId) {
-        if let Some(inner) = &self.inner {
-            inner.entry(topic);
-        }
-    }
-
-    /// Registers (or updates) `topic`'s SLO: its end-to-end deadline `D_i`
-    /// and consecutive-loss tolerance `L_i` (`None` = best-effort).
-    /// Deliveries recorded afterwards are classified against these bounds.
+    /// Registers `topic` (or updates its SLO): its end-to-end deadline
+    /// `D_i` and consecutive-loss tolerance `L_i` (`None` = best-effort).
+    /// Deliveries recorded afterwards are classified against these bounds;
+    /// registering at topic-registration time keeps the delivery path off
+    /// the registry's write lock.
     pub fn set_topic_slo(&self, topic: TopicId, deadline: Duration, loss_bound: Option<u32>) {
         if let Some(inner) = &self.inner {
-            let entry = inner.entry(topic);
+            let entry = inner.topics.get_or_insert(topic);
             entry
                 .deadline_ns
                 .store(deadline.as_nanos(), Ordering::Relaxed);
@@ -411,17 +382,6 @@ impl Telemetry {
                 loss_bound.map_or(NO_LOSS_BOUND, u64::from),
                 Ordering::Relaxed,
             );
-        }
-    }
-
-    /// Records an end-to-end delivery latency for `topic`. Unregistered
-    /// topics are ignored (register via [`Telemetry::ensure_topic`]).
-    #[inline]
-    pub fn record_topic(&self, topic: TopicId, latency: Duration) {
-        if let Some(inner) = &self.inner {
-            if let Some(e) = inner.lookup(topic) {
-                e.histogram.record(latency);
-            }
         }
     }
 
@@ -445,11 +405,10 @@ impl Telemetry {
         let Some(inner) = &self.inner else { return };
         // Hold the read guard instead of cloning the entry Arc: this path
         // runs once per delivered message.
-        let topics = inner.topics.read().expect("topics lock");
-        let Ok(i) = topics.binary_search_by_key(&topic.0, |(t, _)| t.0) else {
+        let topics = inner.topics.read();
+        let Some(entry) = find(&topics, topic) else {
             return;
         };
-        let entry = &topics[i].1;
         let e2e = delivered_at.saturating_since(created_at);
         entry.histogram.record(e2e);
         entry.delivered.fetch_add(1, Ordering::Relaxed);
@@ -533,13 +492,9 @@ impl Telemetry {
         detail: String,
     ) {
         if let Some(inner) = &self.inner {
-            inner.flight.incident(Incident {
-                kind,
-                at,
-                topic,
-                seq,
-                detail,
-            });
+            inner
+                .flight
+                .incident_with(kind, topic, seq, at, |d| d.push_str(&detail));
         }
     }
 
@@ -567,19 +522,13 @@ impl Telemetry {
     /// Total incidents ever recorded. Monotone: dump sinks poll this to
     /// decide when to snapshot the flight recorder.
     pub fn incident_count(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.flight.incident_count(),
-            None => 0,
-        }
+        self.read(|inner| inner.flight.incident_count())
     }
 
     /// A serializable copy of the flight recorder (retained spans +
     /// incidents). Empty for a disabled handle.
     pub fn flight_snapshot(&self) -> FlightSnapshot {
-        match &self.inner {
-            Some(inner) => inner.flight.snapshot(),
-            None => FlightSnapshot::default(),
-        }
+        self.read(|inner| inner.flight.snapshot())
     }
 
     /// Records a broker decision: bumps its counter and appends it to the
@@ -587,12 +536,13 @@ impl Telemetry {
     #[inline]
     pub fn decision(&self, kind: DecisionKind, topic: TopicId, seq: SeqNo, at: Time) {
         if let Some(inner) = &self.inner {
-            let index = inner.trace.record(DecisionEvent {
+            let event = DecisionEvent {
                 at,
                 kind,
                 topic,
                 seq,
-            });
+            };
+            let index = inner.trace.record(event.encode());
             // The ring index round-robins across writers, so it doubles as
             // the counter shard hint (no thread-local lookup needed).
             inner.decisions[kind.index()].incr_spread(index);
@@ -608,28 +558,12 @@ impl Telemetry {
         }
     }
 
-    /// Total broker-lock contention events recorded so far.
-    pub fn shard_contention(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.shard_contention.get(),
-            None => 0,
-        }
-    }
-
     /// Records one admitted ingress message (publish or retention
     /// re-send that created jobs rather than being shed). Wait-free.
     #[inline]
     pub fn record_admit(&self) {
         if let Some(inner) = &self.inner {
             inner.admits.incr();
-        }
-    }
-
-    /// Total admitted ingress messages so far.
-    pub fn admit_count(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.admits.get(),
-            None => 0,
         }
     }
 
@@ -651,7 +585,7 @@ impl Telemetry {
     #[inline]
     pub fn record_queue_depth(&self, broker: BrokerId, depth: u64) {
         if let Some(inner) = &self.inner {
-            let e = inner.queue_entry(broker);
+            let e = inner.queues.get_or_insert(broker);
             e.depth.store(depth, Ordering::Relaxed);
             e.high_watermark.fetch_max(depth, Ordering::Relaxed);
         }
@@ -664,33 +598,9 @@ impl Telemetry {
         let Some(inner) = &self.inner else {
             return ReactorGauges::disabled();
         };
-        let key = loop_index as u64;
-        {
-            let loops = inner.reactor_loops.read().expect("reactor lock");
-            if let Ok(i) = loops.binary_search_by_key(&key, |(l, _)| *l) {
-                return ReactorGauges {
-                    entry: Some(loops[i].1.clone()),
-                };
-            }
+        ReactorGauges {
+            entry: Some(inner.reactor_loops.get_or_insert(loop_index as u64)),
         }
-        let mut loops = inner.reactor_loops.write().expect("reactor lock");
-        let entry = match loops.binary_search_by_key(&key, |(l, _)| *l) {
-            Ok(i) => loops[i].1.clone(),
-            Err(i) => {
-                let entry = Arc::new(ReactorLoopEntry {
-                    registered: AtomicU64::new(0),
-                    accepted: AtomicU64::new(0),
-                    wakeups: AtomicU64::new(0),
-                    budget_exhaustions: AtomicU64::new(0),
-                    write_queue_drops: AtomicU64::new(0),
-                    busy_ns: AtomicU64::new(0),
-                    parked_ns: AtomicU64::new(0),
-                });
-                loops.insert(i, (key, entry.clone()));
-                entry
-            }
-        };
-        ReactorGauges { entry: Some(entry) }
     }
 
     /// Stores the overload controller's state after a tick: the current
@@ -733,19 +643,13 @@ impl Telemetry {
 
     /// Current count for one decision kind.
     pub fn decision_count(&self, kind: DecisionKind) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.decisions[kind.index()].get(),
-            None => 0,
-        }
+        self.read(|inner| inner.decisions[kind.index()].get())
     }
 
     /// Consumes trace events recorded since the last drain (oldest first)
     /// without pausing recording. Empty for a disabled handle.
     pub fn drain_trace(&self) -> Vec<DecisionEvent> {
-        match &self.inner {
-            Some(inner) => inner.trace.drain(),
-            None => Vec::new(),
-        }
+        self.read(|inner| inner.trace.drain(DecisionEvent::decode))
     }
 
     /// Folds every live metric into a serializable snapshot. The trace
@@ -777,7 +681,7 @@ impl Telemetry {
             .collect();
         let mut topics = Vec::new();
         let mut slos = Vec::new();
-        for (topic, e) in inner.topics.read().expect("topics lock").iter() {
+        for (topic, e) in inner.topics.read().iter() {
             if full {
                 topics.push(TopicSnapshot {
                     topic: *topic,
@@ -809,8 +713,6 @@ impl Telemetry {
                 loss_bound_violations: e.loss_bound_violations.load(Ordering::Relaxed),
             });
         }
-        topics.sort_by_key(|t| t.topic.0);
-        slos.sort_by_key(|s| s.topic.0);
         let decisions = DecisionKind::ALL
             .iter()
             .map(|&kind| DecisionCount {
@@ -832,7 +734,6 @@ impl Telemetry {
         let queues = inner
             .queues
             .read()
-            .expect("queues lock")
             .iter()
             .map(|(broker, e)| QueueGaugeSnapshot {
                 broker: *broker,
@@ -843,7 +744,6 @@ impl Telemetry {
         let reactor_loops = inner
             .reactor_loops
             .read()
-            .expect("reactor lock")
             .iter()
             .map(|(idx, e)| ReactorLoopSnapshot {
                 loop_index: *idx,
@@ -861,7 +761,7 @@ impl Telemetry {
             topics,
             decisions,
             trace: if full {
-                inner.trace.snapshot()
+                inner.trace.collect_since(0, DecisionEvent::decode).0
             } else {
                 Vec::new()
             },
@@ -1052,7 +952,8 @@ pub struct DecisionCount {
 }
 
 /// A point-in-time copy of every telemetry metric, ready for rendering
-/// ([`crate::export`]) or serialization.
+/// ([`render_prometheus`](crate::render_prometheus),
+/// [`render_pretty`](crate::render_pretty)) or serialization.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {
     /// Per-stage latency histograms (every stage present, possibly empty).
@@ -1099,7 +1000,7 @@ pub struct TelemetrySnapshot {
     #[serde(default)]
     pub overload: OverloadSnapshot,
     /// Per-role resource accounting (process-wide: allocations, CPU
-    /// stamps and syscall counts from [`crate::profile`]), ordered by
+    /// stamps and syscall counts from [`snapshot_roles`](crate::snapshot_roles)), ordered by
     /// role kind. `default` for pre-profiler snapshots.
     #[serde(default)]
     pub roles: Vec<crate::profile::RoleProfileSnapshot>,
@@ -1132,18 +1033,6 @@ impl TelemetrySnapshot {
         self.heartbeats.iter().find(|h| h.kind == kind)
     }
 
-    /// The queue gauges for `broker`, if present.
-    pub fn queue(&self, broker: BrokerId) -> Option<&QueueGaugeSnapshot> {
-        self.queues.iter().find(|q| q.broker == broker)
-    }
-
-    /// The reactor counters for one event loop, if present.
-    pub fn reactor_loop(&self, loop_index: u64) -> Option<&ReactorLoopSnapshot> {
-        self.reactor_loops
-            .iter()
-            .find(|l| l.loop_index == loop_index)
-    }
-
     /// The resource-accounting counters for one role, if present.
     pub fn role(&self, name: &str) -> Option<&crate::profile::RoleProfileSnapshot> {
         self.roles.iter().find(|r| r.role == name)
@@ -1159,8 +1048,7 @@ mod tests {
         let t = Telemetry::disabled();
         assert!(!t.is_enabled());
         t.record_stage(Stage::DispatchExec, Duration::from_micros(5));
-        t.ensure_topic(TopicId(1));
-        t.record_topic(TopicId(1), Duration::from_micros(5));
+        t.set_topic_slo(TopicId(1), Duration::ZERO, None);
         t.decision(DecisionKind::Dispatch, TopicId(1), SeqNo(0), Time::ZERO);
         assert_eq!(t.decision_count(DecisionKind::Dispatch), 0);
         assert!(t.drain_trace().is_empty());
@@ -1171,12 +1059,19 @@ mod tests {
     #[test]
     fn stages_and_topics_record_independently() {
         let t = Telemetry::new();
-        t.ensure_topic(TopicId(7));
+        t.set_topic_slo(TopicId(7), Duration::ZERO, None);
         t.record_stage(Stage::QueueWait, Duration::from_micros(10));
         t.record_stage(Stage::QueueWait, Duration::from_micros(20));
         t.record_stage(Stage::DispatchExec, Duration::from_micros(3));
-        t.record_topic(TopicId(7), Duration::from_millis(1));
-        t.record_topic(TopicId(99), Duration::from_millis(9)); // unregistered: dropped
+        t.record_delivery(TopicId(7), SeqNo(0), Time::ZERO, Time::from_millis(1), None);
+        // Unregistered: dropped.
+        t.record_delivery(
+            TopicId(99),
+            SeqNo(0),
+            Time::ZERO,
+            Time::from_millis(9),
+            None,
+        );
 
         let s = t.snapshot();
         assert_eq!(s.stage(Stage::QueueWait).unwrap().len(), 2);
@@ -1349,7 +1244,8 @@ mod tests {
         assert_eq!(hb.beats, 3);
         assert_eq!(hb.last_beat_ns, Time::from_millis(3).as_nanos());
         assert_eq!(s.heartbeat(HeartbeatKind::Detector).unwrap().beats, 0);
-        let q = s.queue(BrokerId(7)).expect("queue gauges");
+        let q = s.queues.iter().find(|q| q.broker == BrokerId(7));
+        let q = q.expect("queue gauges");
         assert_eq!(q.depth, 2);
         assert_eq!(q.high_watermark, 5);
 
@@ -1357,16 +1253,17 @@ mod tests {
         disabled.heartbeat(HeartbeatKind::Worker, Time::from_millis(1));
         disabled.record_queue_depth(BrokerId(0), 1);
         disabled.record_admit();
-        assert_eq!(disabled.admit_count(), 0);
-        assert!(disabled.snapshot().heartbeats.is_empty());
+        let s = disabled.snapshot();
+        assert_eq!(s.admits, 0);
+        assert!(s.heartbeats.is_empty());
     }
 
     #[test]
-    fn ensure_topic_is_idempotent() {
+    fn topic_registration_is_idempotent() {
         let t = Telemetry::new();
-        t.ensure_topic(TopicId(1));
-        t.ensure_topic(TopicId(1));
-        t.record_topic(TopicId(1), Duration::from_micros(1));
+        t.set_topic_slo(TopicId(1), Duration::ZERO, None);
+        t.set_topic_slo(TopicId(1), Duration::from_millis(1), None);
+        t.record_delivery(TopicId(1), SeqNo(0), Time::ZERO, Time::from_micros(1), None);
         let s = t.snapshot();
         assert_eq!(s.topics.len(), 1);
         assert_eq!(s.topics[0].histogram.len(), 1);

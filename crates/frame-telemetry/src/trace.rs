@@ -1,15 +1,7 @@
-//! The decision trace: a fixed-capacity ring of the paper-visible
-//! scheduling and coordination decisions (Table 3 and §IV-A), drainable
-//! while the broker keeps running.
-//!
-//! The write path is lock-free: a writer claims a slot with one
-//! `fetch_add`, publishes the event fields, then stamps the slot with its
-//! (index + 1) sequence using a release store. Readers validate each slot
-//! with an acquire load before and after copying its fields — a slot whose
-//! stamp changed mid-copy (a concurrent overwrite) is simply skipped, so
-//! draining never blocks a recording thread.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! The decision trace's records: the paper-visible scheduling and
+//! coordination decisions (Table 3 and §IV-A). They live in a
+//! [`Ring`](crate::ring::Ring) of [`TRACE_WORDS`]-word records, drainable
+//! while the broker keeps running; this module owns their encoding.
 
 use frame_types::{SeqNo, Time, TopicId};
 use serde::{Deserialize, Serialize};
@@ -96,10 +88,6 @@ impl DecisionKind {
             DecisionKind::Shed => 9,
         }
     }
-
-    fn from_index(i: u64) -> Option<DecisionKind> {
-        DecisionKind::ALL.get(i as usize).copied()
-    }
 }
 
 impl std::fmt::Display for DecisionKind {
@@ -123,144 +111,30 @@ pub struct DecisionEvent {
     pub seq: SeqNo,
 }
 
-/// Slot stamps: 0 = never written, otherwise (write index + 1) of the
-/// event it holds. A writer parks the slot at `CLAIMED` while its fields
-/// are in flux.
-const EMPTY: u64 = 0;
-const CLAIMED: u64 = u64::MAX;
+/// Words per [`DecisionEvent`] in the trace ring.
+pub(crate) const TRACE_WORDS: usize = 4;
 
-struct Slot {
-    stamp: AtomicU64,
-    at: AtomicU64,
-    kind: AtomicU64,
-    topic: AtomicU64,
-    seq: AtomicU64,
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            stamp: AtomicU64::new(EMPTY),
-            at: AtomicU64::new(0),
-            kind: AtomicU64::new(0),
-            topic: AtomicU64::new(0),
-            seq: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Fixed-capacity, lock-free ring of [`DecisionEvent`]s. Oldest events are
-/// overwritten once the ring is full; draining returns events not yet
-/// drained, newest-capacity-bounded, in recording order.
-pub struct DecisionTrace {
-    slots: Box<[Slot]>,
-    /// Monotone count of events ever recorded (the next write index).
-    head: AtomicU64,
-    /// Watermark of the last drained write index.
-    drained: AtomicU64,
-}
-
-impl DecisionTrace {
-    /// Creates a trace holding the newest `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> DecisionTrace {
-        assert!(capacity > 0, "decision trace capacity must be positive");
-        DecisionTrace {
-            slots: (0..capacity).map(|_| Slot::new()).collect(),
-            head: AtomicU64::new(0),
-            drained: AtomicU64::new(0),
-        }
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total events ever recorded (including overwritten ones).
-    pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
-    }
-
-    /// Records one event. Lock-free; never blocks or allocates. One RMW to
-    /// claim a slot (the stamp protocol makes overwrites safe, so the claim
-    /// itself can be relaxed), then plain stores. Returns the event's write
-    /// index (monotone across the trace's lifetime).
+impl DecisionEvent {
+    /// The event as trace-ring words.
     #[inline]
-    pub fn record(&self, event: DecisionEvent) -> u64 {
-        let index = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(index % self.slots.len() as u64) as usize];
-        slot.stamp.store(CLAIMED, Ordering::Release);
-        slot.at.store(event.at.as_nanos(), Ordering::Relaxed);
-        slot.kind
-            .store(event.kind.index() as u64, Ordering::Relaxed);
-        slot.topic
-            .store(u64::from(event.topic.0), Ordering::Relaxed);
-        slot.seq.store(event.seq.0, Ordering::Relaxed);
-        slot.stamp.store(index + 1, Ordering::Release);
-        index
+    pub(crate) fn encode(&self) -> [u64; TRACE_WORDS] {
+        [
+            self.at.as_nanos(),
+            self.kind.index() as u64,
+            u64::from(self.topic.0),
+            self.seq.0,
+        ]
     }
 
-    /// Copies out events with write index in `[from, head)`, oldest first.
-    /// Slots mid-overwrite are skipped. Returns the events and the head
-    /// watermark they extend to.
-    fn collect_since(&self, from: u64) -> (Vec<DecisionEvent>, u64) {
-        let head = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        let start = from.max(head.saturating_sub(cap));
-        let mut events = Vec::with_capacity((head - start) as usize);
-        for index in start..head {
-            let slot = &self.slots[(index % cap) as usize];
-            let before = slot.stamp.load(Ordering::Acquire);
-            if before != index + 1 {
-                continue; // overwritten (or still in flight)
-            }
-            let at = slot.at.load(Ordering::Relaxed);
-            let kind = slot.kind.load(Ordering::Relaxed);
-            let topic = slot.topic.load(Ordering::Relaxed);
-            let seq = slot.seq.load(Ordering::Relaxed);
-            if slot.stamp.load(Ordering::Acquire) != before {
-                continue; // torn read: a writer lapped us mid-copy
-            }
-            let Some(kind) = DecisionKind::from_index(kind) else {
-                continue;
-            };
-            events.push(DecisionEvent {
-                at: Time::from_nanos(at),
-                kind,
-                topic: TopicId(topic as u32),
-                seq: SeqNo(seq),
-            });
-        }
-        (events, head)
-    }
-
-    /// Returns every retained event (oldest first) without consuming them.
-    pub fn snapshot(&self) -> Vec<DecisionEvent> {
-        self.collect_since(0).0
-    }
-
-    /// Returns events recorded since the previous drain (oldest first) and
-    /// advances the drain watermark. Concurrent recording continues
-    /// untouched — this never stops the broker.
-    pub fn drain(&self) -> Vec<DecisionEvent> {
-        let from = self.drained.load(Ordering::Acquire);
-        let (events, head) = self.collect_since(from);
-        // A racing drain may have advanced further; keep the max.
-        self.drained.fetch_max(head, Ordering::AcqRel);
-        events
-    }
-}
-
-impl std::fmt::Debug for DecisionTrace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DecisionTrace")
-            .field("capacity", &self.slots.len())
-            .field("recorded", &self.recorded())
-            .finish()
+    /// The inverse of [`DecisionEvent::encode`]; `None` for an unknown
+    /// kind.
+    pub(crate) fn decode([at, kind, topic, seq]: [u64; TRACE_WORDS]) -> Option<DecisionEvent> {
+        Some(DecisionEvent {
+            at: Time::from_nanos(at),
+            kind: DecisionKind::ALL.get(kind as usize).copied()?,
+            topic: TopicId(topic as u32),
+            seq: SeqNo(seq),
+        })
     }
 }
 
@@ -268,98 +142,17 @@ impl std::fmt::Debug for DecisionTrace {
 mod tests {
     use super::*;
 
-    fn ev(kind: DecisionKind, seq: u64) -> DecisionEvent {
-        DecisionEvent {
-            at: Time::from_nanos(seq * 10),
-            kind,
-            topic: TopicId(1),
-            seq: SeqNo(seq),
-        }
-    }
-
     #[test]
-    fn records_and_snapshots_in_order() {
-        let t = DecisionTrace::new(8);
-        t.record(ev(DecisionKind::Replicate, 0));
-        t.record(ev(DecisionKind::Dispatch, 0));
-        t.record(ev(DecisionKind::Prune, 0));
-        let got: Vec<_> = t.snapshot().iter().map(|e| e.kind).collect();
-        assert_eq!(
-            got,
-            vec![
-                DecisionKind::Replicate,
-                DecisionKind::Dispatch,
-                DecisionKind::Prune
-            ]
-        );
-    }
-
-    #[test]
-    fn wraparound_keeps_newest() {
-        let t = DecisionTrace::new(4);
-        for seq in 0..10u64 {
-            t.record(ev(DecisionKind::Dispatch, seq));
+    fn events_round_trip_through_ring_words() {
+        for kind in DecisionKind::ALL {
+            let event = DecisionEvent {
+                at: Time::from_nanos(12_345),
+                kind,
+                topic: TopicId(u32::MAX),
+                seq: SeqNo(u64::MAX),
+            };
+            assert_eq!(DecisionEvent::decode(event.encode()), Some(event));
         }
-        let seqs: Vec<u64> = t.snapshot().iter().map(|e| e.seq.0).collect();
-        assert_eq!(seqs, vec![6, 7, 8, 9], "only the newest capacity events");
-        assert_eq!(t.recorded(), 10);
-    }
-
-    #[test]
-    fn drain_consumes_then_resumes() {
-        let t = DecisionTrace::new(8);
-        t.record(ev(DecisionKind::Dispatch, 0));
-        t.record(ev(DecisionKind::Suppress, 1));
-        assert_eq!(t.drain().len(), 2);
-        assert!(t.drain().is_empty(), "second drain sees nothing new");
-        t.record(ev(DecisionKind::StaleSkip, 2));
-        let rest = t.drain();
-        assert_eq!(rest.len(), 1);
-        assert_eq!(rest[0].kind, DecisionKind::StaleSkip);
-    }
-
-    #[test]
-    fn drain_after_wraparound_skips_overwritten() {
-        let t = DecisionTrace::new(4);
-        for seq in 0..3u64 {
-            t.record(ev(DecisionKind::Dispatch, seq));
-        }
-        assert_eq!(t.drain().len(), 3);
-        // Overflow the ring twice over; only the newest 4 survive.
-        for seq in 3..20u64 {
-            t.record(ev(DecisionKind::Dispatch, seq));
-        }
-        let seqs: Vec<u64> = t.drain().iter().map(|e| e.seq.0).collect();
-        assert_eq!(seqs, vec![16, 17, 18, 19]);
-    }
-
-    #[test]
-    fn concurrent_writers_never_corrupt() {
-        use std::sync::Arc;
-        let t = Arc::new(DecisionTrace::new(64));
-        let writers: Vec<_> = (0..4)
-            .map(|w| {
-                let t = t.clone();
-                std::thread::spawn(move || {
-                    for i in 0..1000u64 {
-                        t.record(ev(DecisionKind::Dispatch, w * 10_000 + i));
-                    }
-                })
-            })
-            .collect();
-        // Drain concurrently with the writers.
-        let mut drained = 0usize;
-        for _ in 0..50 {
-            drained += t.drain().len();
-        }
-        for w in writers {
-            w.join().unwrap();
-        }
-        drained += t.drain().len();
-        assert_eq!(t.recorded(), 4000);
-        // Every drained event is well-formed; the total can't exceed what
-        // was written and the final drain caught the newest ring contents.
-        assert!(drained <= 4000);
-        assert!(t.drain().is_empty());
+        assert_eq!(DecisionEvent::decode([0, 10, 0, 0]), None, "unknown kind");
     }
 }
