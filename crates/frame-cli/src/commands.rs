@@ -10,9 +10,7 @@ use frame_core::{
     admit, dispatch_deadline, min_admissible_retention, replication_deadline, replication_needed,
     BrokerConfig, BrokerRole, Deadline, Publisher,
 };
-use frame_rt::{
-    connect_backup_over_tcp, ReactorServer, RtBroker, TcpBackupBridge, TcpPublisher, TcpSubscriber,
-};
+use frame_rt::{ReactorServer, RtBroker, TcpPublisher, TcpSubscriber};
 use frame_telemetry::Telemetry;
 use frame_types::{BrokerId, PublisherId, SubscriberId};
 
@@ -77,9 +75,9 @@ pub fn cmd_admit(manifest: &Manifest, out: &mut impl std::io::Write) -> std::io:
     Ok(rejected)
 }
 
-/// A running broker process: server plus broker handle, its Backup
-/// bridge when `--backup-addr` was given, and — with `--obs` — the metrics
-/// sampler and HTTP scrape endpoint.
+/// A running broker process: server plus broker handle and — with
+/// `--obs` — the metrics sampler and HTTP scrape endpoint. With
+/// `--backup-addr` the server also owns the link to the Backup.
 pub struct RunningBroker {
     /// The broker.
     pub broker: RtBroker,
@@ -87,7 +85,6 @@ pub struct RunningBroker {
     pub server: ReactorServer,
     /// The `/metrics` + `/healthz` listener, when `--obs` was given.
     pub obs: Option<(frame_obs::ObsSampler, frame_obs::ObsServer)>,
-    bridge: Option<TcpBackupBridge>,
     threads: frame_rt::RtBrokerThreads,
 }
 
@@ -100,9 +97,6 @@ impl RunningBroker {
         }
         self.broker.shutdown();
         self.server.shutdown();
-        if let Some(bridge) = self.bridge {
-            bridge.join();
-        }
         self.threads.join();
     }
 }
@@ -141,10 +135,6 @@ pub fn cmd_broker(
             .register_topic(admitted, subscribers)
             .map_err(|e| e.to_string())?;
     }
-    let bridge = backup_addr
-        .map(|addr| connect_backup_over_tcp(&broker, addr))
-        .transpose()
-        .map_err(|e| e.to_string())?;
     let obs = match obs_addr {
         None => None,
         Some(addr) => {
@@ -160,11 +150,13 @@ pub fn cmd_broker(
         }
     };
     let server = ReactorServer::bind(listen, broker.clone()).map_err(|e| e.to_string())?;
+    if let Some(addr) = backup_addr {
+        server.connect_backup(addr).map_err(|e| e.to_string())?;
+    }
     Ok(RunningBroker {
         broker,
         server,
         obs,
-        bridge,
         threads,
     })
 }

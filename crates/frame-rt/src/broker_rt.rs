@@ -75,8 +75,8 @@ pub use frame_types::wire::BackupEffect;
 /// job, in emission order. It runs on worker threads while they hold the
 /// emitting topic's claim, which is what keeps the Table-3 order per
 /// topic, so it must not block: in-process it is a closure over the
-/// Backup's [`RtBroker::apply_backup`], over TCP a send into the bridge's
-/// channel.
+/// Backup's [`RtBroker::apply_backup`], over TCP a push onto the link
+/// connection's channel ([`crate::ReactorServer::connect_backup`]).
 pub type BackupSink = Arc<dyn Fn(Vec<BackupEffect>) + Send + Sync>;
 
 /// Called after deliveries are pushed onto a subscriber's channel, so an

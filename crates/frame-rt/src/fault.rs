@@ -116,38 +116,6 @@ pub trait FaultHook: Send + Sync {
     }
 }
 
-/// Applies `fate`'s copy count and delay to an abstract send action.
-///
-/// `send` is invoked once per surviving copy; delayed copies are sent from
-/// a detached timer thread (scripted faults are rare, so a thread per
-/// delayed frame is fine). Returns the number of copies sent inline.
-pub fn apply_fate<F>(fate: &FrameFate, send: F) -> u32
-where
-    F: Fn() + Send + Sync + 'static,
-{
-    if fate.copies == 0 {
-        return 0;
-    }
-    match fate.delay {
-        None => {
-            for _ in 0..fate.copies {
-                send();
-            }
-            fate.copies
-        }
-        Some(delay) => {
-            let copies = fate.copies;
-            std::thread::spawn(move || {
-                std::thread::sleep(delay);
-                for _ in 0..copies {
-                    send();
-                }
-            });
-            0
-        }
-    }
-}
-
 /// Shorthand for the optional hook the runtime threads through itself.
 pub type SharedFaultHook = Option<Arc<dyn FaultHook>>;
 
@@ -164,7 +132,6 @@ pub fn fate_of(hook: &SharedFaultHook, hop: Hop, topic: TopicId, seq: SeqNo) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU32, Ordering};
 
     #[test]
     fn pass_is_default_and_detectable() {
@@ -181,54 +148,6 @@ mod tests {
     fn no_hook_passes_everything() {
         let hook: SharedFaultHook = None;
         assert!(fate_of(&hook, Hop::PrimaryToBackup, TopicId(1), SeqNo(0)).is_pass());
-    }
-
-    #[test]
-    fn apply_fate_counts_copies() {
-        let sent = Arc::new(AtomicU32::new(0));
-        let s = sent.clone();
-        let n = apply_fate(
-            &FrameFate {
-                copies: 3,
-                ..FrameFate::PASS
-            },
-            move || {
-                s.fetch_add(1, Ordering::SeqCst);
-            },
-        );
-        assert_eq!(n, 3);
-        assert_eq!(sent.load(Ordering::SeqCst), 3);
-
-        let s2 = sent.clone();
-        assert_eq!(
-            apply_fate(&FrameFate::DROP, move || {
-                s2.fetch_add(1, Ordering::SeqCst);
-            }),
-            0
-        );
-        assert_eq!(sent.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn delayed_fate_sends_off_thread() {
-        let sent = Arc::new(AtomicU32::new(0));
-        let s = sent.clone();
-        let inline = apply_fate(
-            &FrameFate {
-                copies: 2,
-                delay: Some(StdDuration::from_millis(5)),
-                truncate_to: None,
-            },
-            move || {
-                s.fetch_add(1, Ordering::SeqCst);
-            },
-        );
-        assert_eq!(inline, 0, "delayed copies leave on a timer thread");
-        let deadline = std::time::Instant::now() + StdDuration::from_secs(2);
-        while sent.load(Ordering::SeqCst) < 2 {
-            assert!(std::time::Instant::now() < deadline, "delayed send arrived");
-            std::thread::yield_now();
-        }
     }
 
     #[test]

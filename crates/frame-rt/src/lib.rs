@@ -11,11 +11,12 @@
 //!
 //! A broker is built by one constructor, [`RtBroker::spawn`], and a
 //! subscriber attaches with one call, [`RtBroker::connect_subscriber`].
-//! Over TCP the [`ReactorServer`] serves the broker side and [`tcp`] holds
-//! the clients and the Primary→Backup bridge. The bytes on the wire —
-//! frames, the encoder and both stream readers — belong to
-//! [`frame_types::wire`]; this crate re-exports the names its users reach
-//! for ([`read_frame`], [`write_frame`], [`FrameDecoder`], [`WireMsg`], …).
+//! Over TCP the [`ReactorServer`] serves the broker side, the Primary's
+//! link to its Backup included ([`ReactorServer::connect_backup`]), and
+//! [`tcp`] holds the clients. The bytes on the wire — frames, the encoder
+//! and both stream readers — belong to [`frame_types::wire`]; this crate
+//! re-exports the names its users reach for ([`read_frame`],
+//! [`write_frame`], [`FrameDecoder`], [`WireMsg`], …).
 //!
 //! # Quick start
 //!
@@ -51,7 +52,7 @@ pub use broker_rt::{
 pub use fault::{BackupEffectKind, FaultHook, FrameFate, Hop, SharedFaultHook};
 pub use reactor::{ReactorConfig, ReactorServer};
 pub use system::{RtPublisher, RtSystem, RtSystemBuilder};
-pub use tcp::{connect_backup_over_tcp, TcpBackupBridge, TcpPublisher, TcpSubscriber};
+pub use tcp::{TcpPublisher, TcpSubscriber};
 // The wire format and its readers and writers live with the passive
 // vocabulary types; re-export the pieces transports and tools reach for
 // alongside the runtime.

@@ -1,9 +1,11 @@
 //! Readiness-driven ingress reactor: the broker's TCP front end.
 //!
-//! Every publisher, subscriber, Backup-bridge, detector and control
-//! connection to a broker is served here, from a fixed pool of event loops
-//! speaking the wire protocol ([`WireMsg`]) — so edge fan-in at publisher
-//! counts in the tens of thousands costs no thread per peer:
+//! Every publisher, subscriber, detector and control connection to a
+//! broker is served here, and so is the one connection a broker opens
+//! itself: a Primary's link to its Backup ([`ReactorServer::connect_backup`]).
+//! A fixed pool of event loops speaks the wire protocol ([`WireMsg`]), so
+//! edge fan-in at publisher counts in the tens of thousands costs no
+//! thread per peer:
 //!
 //! - **N event loops** (default: one per core, capped at 4), each owning
 //!   an epoll-style [`Poller`] with oneshot re-arm semantics. Loop 0 also
@@ -21,6 +23,9 @@
 //!   writable (interest is registered only while a backlog exists).
 //!   Deliveries to a full queue are dropped and counted — a slow consumer
 //!   loses its own frames, never the loop.
+//! - **One outbound source per connection**: a subscriber's deliveries or
+//!   the Backup link's replicas and prunes, pushed onto a channel by
+//!   workers and drained in order by the owning loop.
 //!
 //! Decoded messages are admitted on the loop itself: publishes, re-sends
 //! and replica batches call [`RtBroker::publish`], [`RtBroker::resend`]
@@ -35,7 +40,7 @@
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -46,9 +51,10 @@ use frame_types::FrameError;
 use parking_lot::Mutex;
 use polling::{Event, Events, Poller};
 
-use crate::broker_rt::{Delivered, DeliveryNotify, RtBroker};
+use crate::broker_rt::{Delivered, RtBroker};
 use frame_types::wire::{
-    BackupEffect, Decoded, EncodedFrame, FrameDecoder, FrameSink, FrameWriteQueue, WireMsg,
+    BackupEffect, Decoded, EncodedFrame, FrameDecoder, FrameSink, FrameWriteQueue, WireCodec,
+    WireMsg,
 };
 
 /// Tuning knobs for a [`ReactorServer`].
@@ -108,10 +114,16 @@ const CPU_STAMP_EVERY: u32 = 64;
 /// storm cannot monopolize loop 0.
 const ACCEPT_BATCH: usize = 512;
 
+/// Backup effects coalesced into one link frame before it is cut, so a
+/// deep backlog leaves as frames of bounded size (one job's hand-off, a
+/// handful of effects, is never split).
+const BACKUP_BATCH_MAX: usize = 256;
+
 /// A readiness-driven TCP front end serving a broker's wire protocol from a
 /// fixed pool of event loops.
 pub struct ReactorServer {
     addr: SocketAddr,
+    broker: RtBroker,
     stop: Arc<AtomicBool>,
     loops: Vec<Arc<LoopShared>>,
     threads: Vec<JoinHandle<()>>,
@@ -148,7 +160,7 @@ impl ReactorServer {
             loops.push(Arc::new(LoopShared {
                 poller: Poller::new().map_err(FrameError::net)?,
                 injected: Mutex::new(Vec::new()),
-                delivery_ready: Mutex::new(Vec::new()),
+                outbound_ready: Mutex::new(Vec::new()),
             }));
         }
         loops[0]
@@ -179,6 +191,7 @@ impl ReactorServer {
         }
         Ok(ReactorServer {
             addr,
+            broker,
             stop,
             loops,
             threads,
@@ -188,6 +201,51 @@ impl ReactorServer {
     /// The bound address (useful with ephemeral ports).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// Links the served broker, as Primary, to the Backup served at
+    /// `addr` over one ordered connection (the paper's `ΔBB`), owned by a
+    /// loop like any accepted one. The connect blocks, and the broker's
+    /// [`crate::BackupSink`] is installed before this returns. Once the
+    /// link closes, the sink drops each effect it is handed, counted as a
+    /// write-queue drop of the owning loop and logged, rate-limited.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FrameError::Net`] when the connect fails.
+    pub fn connect_backup(&self, addr: SocketAddr) -> Result<(), FrameError> {
+        let stream = TcpStream::connect(addr).map_err(FrameError::net)?;
+        // The last loop owns the link: loop 0 also accepts.
+        let index = self.loops.len() - 1;
+        let shared = self.loops[index].clone();
+        let tag = ConnTag::new();
+        let (tx, rx) = unbounded::<Vec<BackupEffect>>();
+        let link = Outbound::Backup {
+            effects: rx.clone(),
+            codec: WireCodec::new(),
+        };
+        let injected = (stream, tag.clone(), Some(link));
+        shared.injected.lock().push(injected);
+        let _ = shared.poller.notify();
+        let gauges = self.broker.telemetry().reactor_gauges(index);
+        let lost_log = Mutex::new(LogBackoff::new());
+        self.broker.connect_backup(Arc::new(move |effects: Vec<BackupEffect>| {
+            if !tag.closed.load(Ordering::Acquire) {
+                // Cannot fail: the sink holds a receiver too.
+                let _ = tx.send(effects);
+                wake(&shared, &tag);
+                return;
+            }
+            // The link is gone; also count what it left on the channel.
+            let lost = effects.len() + rx.try_iter().map(|e| e.len()).sum::<usize>();
+            for _ in 0..lost {
+                gauges.record_write_queue_drop();
+            }
+            lost_log.lock().report(|| {
+                format!("frame-rt/reactor: Backup link to {addr} is closed; dropped {lost} replicas/prunes")
+            });
+        }));
+        Ok(())
     }
 
     /// Stops every event loop and joins them; open connections are closed
@@ -250,27 +308,54 @@ impl LogBackoff {
     }
 }
 
-/// State a loop shares with the accept loop and with broker worker
-/// threads (delivery wake-ups).
+/// State a loop shares with the accept loop, `connect_backup` and broker
+/// worker threads (outbound wake-ups).
 struct LoopShared {
     poller: Poller,
-    /// Accepted streams awaiting adoption by this loop.
-    injected: Mutex<Vec<TcpStream>>,
-    /// Connections with deliveries queued on their channel, awaiting a
-    /// drain by this loop.
-    delivery_ready: Mutex<Vec<Arc<ConnTag>>>,
+    injected: Mutex<Vec<Injected>>,
+    /// Connections with items queued on their outbound channel, awaiting
+    /// a drain by this loop.
+    outbound_ready: Mutex<Vec<Arc<ConnTag>>>,
 }
 
+/// A stream awaiting adoption by a loop: an accepted peer or the Backup
+/// link, with its tag and outbound source.
+type Injected = (TcpStream, Arc<ConnTag>, Option<Outbound>);
+
 /// A connection's cross-thread identity. Worker threads hold it inside
-/// delivery callbacks; the owning loop checks pointer identity before
+/// wake-up callbacks; the owning loop checks pointer identity before
 /// trusting `key`, so a key reused after close can never route another
 /// connection's wake-up to the wrong socket.
 struct ConnTag {
-    key: usize,
+    /// Slab key, set by the owning loop at adoption (`usize::MAX` until
+    /// then, which names no connection).
+    key: AtomicUsize,
     closed: AtomicBool,
-    /// Already on the loop's `delivery_ready` list (dedup so a burst of
+    /// Already on the loop's `outbound_ready` list (dedup so a burst of
     /// deliveries queues one wake-up, not one per message).
     queued: AtomicBool,
+}
+
+impl ConnTag {
+    fn new() -> Arc<ConnTag> {
+        Arc::new(ConnTag {
+            key: AtomicUsize::new(usize::MAX),
+            closed: AtomicBool::new(false),
+            queued: AtomicBool::new(false),
+        })
+    }
+}
+
+/// What a connection's loop drains onto its socket besides responses.
+enum Outbound {
+    /// A subscriber's deliveries (from its `Subscribe` on).
+    Deliveries(Receiver<Delivered>),
+    /// The Backup link's replicas and prunes, in the Primary's emission
+    /// order, and the codec that frames them.
+    Backup {
+        effects: Receiver<Vec<BackupEffect>>,
+        codec: WireCodec,
+    },
 }
 
 /// Per-connection state owned by exactly one loop.
@@ -285,8 +370,8 @@ struct Conn {
     out: FrameWriteQueue,
     /// Writable interest is registered (a write backlog exists).
     wants_write: bool,
-    /// Set once the connection subscribes.
-    deliveries: Option<Receiver<Delivered>>,
+    /// Set once the connection subscribes, or at adoption for the link.
+    outbound: Option<Outbound>,
 }
 
 /// Everything one event loop needs; moved onto its thread.
@@ -349,19 +434,18 @@ fn run_loop(ctx: LoopCtx) {
             // with it, so peers see the broker's death as EOF. The loop
             // stays up to drain accepts and wait for shutdown.
             broker_was_alive = false;
-            for key in 0..conns.len() {
-                close_conn(&mut conns, &mut free, &ctx.shared.poller, key);
-            }
+            close_all(&mut conns, &mut free, &ctx.shared.poller);
         }
         let broker_dead = !broker_was_alive;
 
-        // Adopt connections the acceptor handed this loop.
-        let injected: Vec<TcpStream> = std::mem::take(&mut *ctx.shared.injected.lock());
-        for stream in injected {
+        // Adopt connections handed to this loop.
+        let injected = std::mem::take(&mut *ctx.shared.injected.lock());
+        for (stream, tag, outbound) in injected {
             if broker_dead {
+                tag.closed.store(true, Ordering::Release);
                 continue; // dropped: closes the socket
             }
-            register_conn(&mut conns, &mut free, stream, &ctx);
+            register_conn(&mut conns, &mut free, stream, tag, outbound, &ctx);
         }
 
         for ev in events.iter() {
@@ -400,32 +484,35 @@ fn run_loop(ctx: LoopCtx) {
             }
         }
 
-        // Drain delivery wake-ups (after events, so a Subscribe decoded
+        // Drain outbound wake-ups (after events, so a Subscribe decoded
         // this iteration is already visible).
-        let ready: Vec<Arc<ConnTag>> = std::mem::take(&mut *ctx.shared.delivery_ready.lock());
+        let ready: Vec<Arc<ConnTag>> = std::mem::take(&mut *ctx.shared.outbound_ready.lock());
         for tag in ready {
-            // Clear before draining: a delivery pushed after this store
+            // Clear before draining: an item pushed after this store
             // re-queues the tag; one pushed before it is caught by the
             // drain below. Either way nothing is stranded.
             tag.queued.store(false, Ordering::Release);
             if tag.closed.load(Ordering::Acquire) {
                 continue;
             }
-            let Some(Some(conn)) = conns.get_mut(tag.key) else {
-                continue;
+            let key = tag.key.load(Ordering::Relaxed);
+            let Some(Some(conn)) = conns.get_mut(key) else {
+                continue; // not adopted yet: adoption wakes it again
             };
             if !Arc::ptr_eq(&conn.tag, &tag) {
                 continue; // key was reused; wake-up was for the old conn
             }
-            let alive = pump_deliveries(conn, &ctx) && rearm(&ctx.shared.poller, conn);
+            let alive = pump_outbound(conn, &ctx) && rearm(&ctx.shared.poller, conn);
             if !alive {
-                close_conn(&mut conns, &mut free, &ctx.shared.poller, tag.key);
+                close_conn(&mut conns, &mut free, &ctx.shared.poller, key);
             }
         }
 
         ctx.gauges.set_registered((conns.len() - free.len()) as u64);
     }
-    // Shutdown: dropping a Conn closes its socket; subscribers see EOF.
+    // Shutdown: closing marks every tag, so the Backup sink counts what it
+    // is handed from now on; subscribers see EOF.
+    close_all(&mut conns, &mut free, &ctx.shared.poller);
     ctx.gauges.set_registered(0);
     frame_telemetry::stamp_thread_cpu();
 }
@@ -454,10 +541,10 @@ fn accept_batch(
                 let target = *next_loop % ctx.peers.len();
                 *next_loop = next_loop.wrapping_add(1);
                 if target == ctx.index {
-                    register_conn(conns, free, stream, ctx);
+                    register_conn(conns, free, stream, ConnTag::new(), None, ctx);
                 } else {
                     let peer = &ctx.peers[target];
-                    peer.injected.lock().push(stream);
+                    peer.injected.lock().push((stream, ConnTag::new(), None));
                     let _ = peer.poller.notify();
                 }
             }
@@ -473,15 +560,30 @@ fn accept_batch(
     }
 }
 
-/// Adopts an accepted stream: nonblocking, nodelay, slab slot, poller
-/// registration. Failures shed the connection (the socket drops closed).
+/// Adopts a stream: nonblocking, nodelay, slab slot, poller
+/// registration. Failures shed the connection (the socket drops closed,
+/// the tag reads closed).
 fn register_conn(
     conns: &mut Vec<Option<Conn>>,
     free: &mut Vec<usize>,
     stream: TcpStream,
+    tag: Arc<ConnTag>,
+    outbound: Option<Outbound>,
     ctx: &LoopCtx,
 ) {
-    if stream.set_nonblocking(true).is_err() {
+    let key = free.pop().unwrap_or_else(|| {
+        conns.push(None);
+        conns.len() - 1
+    });
+    if stream.set_nonblocking(true).is_err()
+        || ctx
+            .shared
+            .poller
+            .add(&stream, Event::readable(key))
+            .is_err()
+    {
+        free.push(key);
+        tag.closed.store(true, Ordering::Release);
         return;
     }
     stream.set_nodelay(true).ok();
@@ -489,32 +591,27 @@ fn register_conn(
         .peer_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "<unknown>".into());
-    let key = free.pop().unwrap_or_else(|| {
-        conns.push(None);
-        conns.len() - 1
-    });
-    if ctx
-        .shared
-        .poller
-        .add(&stream, Event::readable(key))
-        .is_err()
-    {
-        free.push(key);
-        return;
+    tag.key.store(key, Ordering::Relaxed);
+    // The link's sink may have queued effects whose wake-up found no
+    // connection yet.
+    if outbound.is_some() {
+        wake(&ctx.shared, &tag);
     }
     conns[key] = Some(Conn {
         stream,
-        tag: Arc::new(ConnTag {
-            key,
-            closed: AtomicBool::new(false),
-            queued: AtomicBool::new(false),
-        }),
+        tag: tag.clone(),
         peer,
         decoder: FrameDecoder::new(),
         out: FrameWriteQueue::bounded(ctx.config.write_queue_cap),
         wants_write: false,
-        deliveries: None,
+        outbound,
     });
+}
+
+fn close_all(conns: &mut [Option<Conn>], free: &mut Vec<usize>, poller: &Poller) {
+    for key in 0..conns.len() {
+        close_conn(conns, free, poller, key);
+    }
 }
 
 fn close_conn(conns: &mut [Option<Conn>], free: &mut Vec<usize>, poller: &Poller, key: usize) {
@@ -534,7 +631,7 @@ fn close_conn(conns: &mut [Option<Conn>], free: &mut Vec<usize>, poller: &Poller
 /// readable, writable only while a backlog exists.
 fn rearm(poller: &Poller, conn: &Conn) -> bool {
     let interest = Event {
-        key: conn.tag.key,
+        key: conn.tag.key.load(Ordering::Relaxed),
         readable: true,
         writable: conn.wants_write,
     };
@@ -554,25 +651,52 @@ fn flush(conn: &mut Conn) -> bool {
     }
 }
 
-/// Drains the subscriber channel into the write queue (dropping on a full
-/// queue) and flushes. Deliveries normally arrive with the frame already
-/// encoded once at dispatch ([`Delivered::wire`]) and shared across the
-/// fan-out; only hook-perturbed deliveries are encoded here. `false` =
-/// close.
-fn pump_deliveries(conn: &mut Conn, ctx: &LoopCtx) -> bool {
-    let Some(rx) = conn.deliveries.clone() else {
-        return true;
-    };
-    while let Ok(d) = rx.try_recv() {
-        let frame = match d.wire {
-            Some(frame) => frame,
-            None => match EncodedFrame::encode(&WireMsg::Deliver(d.message)) {
-                Ok(frame) => frame,
-                Err(_) => return false,
-            },
-        };
-        if !conn.out.push_delivery(frame) {
-            ctx.gauges.record_write_queue_drop();
+/// Drains the outbound channel into the write queue and flushes.
+/// Deliveries normally arrive with the frame already encoded once at
+/// dispatch ([`Delivered::wire`]) and shared across the fan-out; only
+/// hook-perturbed deliveries are encoded here, and a full queue drops
+/// them. Backup effects leave in channel order, coalesced into
+/// `ReplicaBatch` frames, and are never dropped. `false` = close.
+fn pump_outbound(conn: &mut Conn, ctx: &LoopCtx) -> bool {
+    match &mut conn.outbound {
+        None => return true,
+        Some(Outbound::Deliveries(rx)) => {
+            while let Ok(d) = rx.try_recv() {
+                let frame = match d.wire {
+                    Some(frame) => frame,
+                    None => match EncodedFrame::encode(&WireMsg::Deliver(d.message)) {
+                        Ok(frame) => frame,
+                        Err(_) => return false,
+                    },
+                };
+                if !conn.out.push_delivery(frame) {
+                    ctx.gauges.record_write_queue_drop();
+                }
+            }
+        }
+        Some(Outbound::Backup { effects, codec }) => {
+            let mut batch: Vec<BackupEffect> = Vec::new();
+            while let Ok(handed) = effects.try_recv() {
+                if batch.is_empty() {
+                    batch = handed;
+                } else {
+                    batch.extend(handed);
+                }
+                if batch.len() < BACKUP_BATCH_MAX && !effects.is_empty() {
+                    continue;
+                }
+                let msg = match batch.len() {
+                    1 => match batch.pop().expect("len checked") {
+                        BackupEffect::Replica(m) => WireMsg::Replica(m),
+                        BackupEffect::Prune(k) => WireMsg::Prune(k),
+                    },
+                    _ => WireMsg::ReplicaBatch(std::mem::take(&mut batch)),
+                };
+                match codec.encode(&msg) {
+                    Ok(frame) => conn.out.push_control(frame),
+                    Err(_) => return false,
+                }
+            }
         }
     }
     flush(conn)
@@ -656,9 +780,10 @@ fn handle_frame(conn: &mut Conn, ctx: &LoopCtx, msg: WireMsg) -> bool {
         }
         WireMsg::Subscribe(id) => {
             let (tx, rx) = unbounded();
+            let (shared, tag) = (ctx.shared.clone(), conn.tag.clone());
             ctx.broker
-                .connect_subscriber(id, tx, Some(delivery_notify(&ctx.shared, &conn.tag)));
-            conn.deliveries = Some(rx);
+                .connect_subscriber(id, tx, Some(Arc::new(move || wake(&shared, &tag))));
+            conn.outbound = Some(Outbound::Deliveries(rx));
         }
         WireMsg::Promote => {
             let created = ctx.broker.promote().map(|n| n as u64).unwrap_or(0);
@@ -697,18 +822,15 @@ fn enqueue_response(conn: &mut Conn, msg: &WireMsg) -> bool {
     }
 }
 
-/// The wake-up a worker invokes after pushing deliveries for this
-/// connection: queue the tag once and nudge the loop's poller.
-fn delivery_notify(shared: &Arc<LoopShared>, tag: &Arc<ConnTag>) -> DeliveryNotify {
-    let shared = shared.clone();
-    let tag = tag.clone();
-    Arc::new(move || {
-        if tag.closed.load(Ordering::Acquire) {
-            return;
-        }
-        if !tag.queued.swap(true, Ordering::AcqRel) {
-            shared.delivery_ready.lock().push(tag.clone());
-            let _ = shared.poller.notify();
-        }
-    })
+/// The wake-up after pushing onto a connection's outbound channel (a
+/// subscriber's [`crate::DeliveryNotify`], the link's sink): queue the
+/// tag once and nudge the loop's poller.
+fn wake(shared: &LoopShared, tag: &Arc<ConnTag>) {
+    if tag.closed.load(Ordering::Acquire) {
+        return;
+    }
+    if !tag.queued.swap(true, Ordering::AcqRel) {
+        shared.outbound_ready.lock().push(tag.clone());
+        let _ = shared.poller.notify();
+    }
 }

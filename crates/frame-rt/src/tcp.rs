@@ -1,164 +1,23 @@
-//! TCP clients and the Primary→Backup bridge.
+//! TCP clients.
 //!
-//! In-process, publishers and the Backup call [`RtBroker`] directly; this
-//! module carries the same protocol over TCP so publishers, subscribers
-//! and the Backup peer can live in other processes or hosts — the shape of
-//! the paper's seven-host testbed. The broker side of every connection is
-//! [`crate::reactor::ReactorServer`]; this module holds the blocking
-//! [`TcpPublisher`] / [`TcpSubscriber`] clients and the Backup bridge.
-//! Frames, and every reader and writer of them, belong to
+//! In-process, publishers and the Backup call [`crate::RtBroker`]
+//! directly; this module carries the same protocol over TCP so publishers
+//! and subscribers can live in other processes or hosts — the shape of the
+//! paper's seven-host testbed. The broker side of every connection, the
+//! Primary→Backup link included, is [`crate::reactor::ReactorServer`];
+//! this module holds the blocking [`TcpPublisher`] / [`TcpSubscriber`]
+//! clients. Frames, and every reader and writer of them, belong to
 //! [`frame_types::wire`]; this module only moves them over sockets.
 //! Reliability and ordering come from TCP, matching the model's reliable
 //! in-order interconnect assumption (§III-B).
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use frame_types::wire::{
-    write_frame, BackupEffect, Decoded, FrameDecoder, FrameSink, FrameWriteQueue, WireCodec,
-    WireMsg,
-};
+use frame_types::wire::{write_frame, Decoded, FrameDecoder, WireCodec, WireMsg};
 use frame_types::{FrameError, Message, SubscriberId};
-
-use crate::broker_rt::RtBroker;
-
-/// Bridges a Primary's Backup-bound traffic (replicas and prunes) over TCP
-/// to a Backup broker served by a [`crate::reactor::ReactorServer`] at
-/// `addr`.
-///
-/// Spawns a forwarder thread and wires a send into its channel as the
-/// Primary's [`crate::BackupSink`]; the returned handle joins the
-/// forwarder. If the TCP connection fails, backup traffic is dropped (the
-/// network-partition behaviour of the model — the Primary does not block
-/// on its Backup).
-///
-/// # Errors
-///
-/// Returns [`FrameError::Net`] on the initial connection error.
-pub fn connect_backup_over_tcp(
-    primary: &RtBroker,
-    addr: SocketAddr,
-) -> Result<TcpBackupBridge, FrameError> {
-    let stream = TcpStream::connect(addr).map_err(FrameError::net)?;
-    stream.set_nodelay(true).ok();
-    let (tx, rx) = unbounded::<Vec<BackupEffect>>();
-    primary.connect_backup(Arc::new(move |effects| {
-        let _ = tx.send(effects);
-    }));
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = stop.clone();
-    let thread = std::thread::Builder::new()
-        .name("frame-tcp-backup-bridge".into())
-        .spawn(move || {
-            frame_telemetry::register_thread_role(frame_telemetry::RoleKind::BackupBridge, 0);
-            backup_bridge_loop(stream, rx, stop2);
-        })
-        .map_err(FrameError::net)?;
-    Ok(TcpBackupBridge {
-        stop,
-        thread: Some(thread),
-    })
-}
-
-/// Upper bound on effects coalesced into one bridge frame, so a deep
-/// backlog still yields frames of bounded size (and bounded decode cost).
-const BACKUP_BATCH_MAX: usize = 256;
-
-/// Upper bound on frames staged per bridge flush: a deep backlog leaves as
-/// several bounded `ReplicaBatch` frames in one vectored write instead of
-/// one unbounded frame (or one syscall each).
-const BRIDGE_FRAMES_PER_FLUSH: usize = 8;
-
-/// The Primary→Backup forwarder. The bridge is the only reader of its
-/// channel, so draining it greedily preserves the Primary's per-topic
-/// emission order while coalescing a backlog into bounded `ReplicaBatch`
-/// frames; queued frames leave in one vectored flush.
-fn backup_bridge_loop(stream: TcpStream, rx: Receiver<Vec<BackupEffect>>, stop: Arc<AtomicBool>) {
-    let mut writer = stream;
-    let mut codec = WireCodec::new();
-    let mut out = FrameWriteQueue::unbounded();
-    let mut batch: Vec<BackupEffect> = Vec::new();
-    let mut pending: Option<Vec<BackupEffect>> = None;
-    let mut iters = 0u32;
-    loop {
-        iters = iters.wrapping_add(1);
-        if iters.is_multiple_of(64) {
-            frame_telemetry::stamp_thread_cpu();
-        }
-        let effects = match pending.take() {
-            Some(m) => m,
-            None => match rx.recv_timeout(std::time::Duration::from_millis(100)) {
-                Ok(m) => m,
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    if stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    continue;
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-            },
-        };
-        batch.clear();
-        batch.extend(effects);
-        while batch.len() < BACKUP_BATCH_MAX {
-            match rx.try_recv() {
-                Ok(effects) => batch.extend(effects),
-                Err(_) => break,
-            }
-        }
-        let frame = match batch.len() {
-            0 => None,
-            1 => Some(match batch.pop().expect("len checked") {
-                BackupEffect::Replica(m) => WireMsg::Replica(m),
-                BackupEffect::Prune(k) => WireMsg::Prune(k),
-            }),
-            _ => Some(WireMsg::ReplicaBatch(std::mem::take(&mut batch))),
-        };
-        if let Some(frame) = frame {
-            match codec.encode(&frame) {
-                // Blocking socket: the flush below is the backpressure.
-                Ok(encoded) => out.push_control(encoded),
-                Err(_) => return,
-            }
-        }
-        // If the channel is still hot, stage another frame before flushing
-        // (bounded, so a firehose cannot starve the socket forever).
-        if out.len() < BRIDGE_FRAMES_PER_FLUSH {
-            if let Ok(m) = rx.try_recv() {
-                pending = Some(m);
-                continue;
-            }
-        }
-        if out.is_empty() {
-            continue;
-        }
-        match out.flush_blocking(&mut writer) {
-            Ok(syscalls) => frame_telemetry::record_write_syscalls(syscalls),
-            Err(_) => return, // partition: stop forwarding
-        }
-    }
-}
-
-/// Handle to a running Primary→Backup TCP bridge.
-pub struct TcpBackupBridge {
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl TcpBackupBridge {
-    /// Stops and joins the forwarder (it also exits on its own when the
-    /// channel disconnects or the connection breaks).
-    pub fn join(mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
 
 /// A TCP publisher connection.
 pub struct TcpPublisher {
@@ -277,6 +136,7 @@ fn subscriber_loop(mut stream: TcpStream, tx: Sender<Message>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::broker_rt::RtBroker;
     use crate::reactor::ReactorServer;
     use frame_clock::MonotonicClock;
     use frame_core::{admit, BrokerConfig, BrokerRole};
@@ -285,6 +145,7 @@ mod tests {
     use frame_types::{BrokerId, NetworkParams, PublisherId, SeqNo, Time, TopicId, TopicSpec};
     use std::io::Write;
     use std::net::TcpListener;
+    use std::sync::Arc;
 
     fn spawn_broker() -> (RtBroker, crate::broker_rt::RtBrokerThreads) {
         let clock: Arc<dyn frame_clock::Clock> = Arc::new(MonotonicClock::new());
@@ -372,9 +233,11 @@ mod tests {
                 .unwrap();
         }
         let backup_server = ReactorServer::bind("127.0.0.1:0", backup.clone()).unwrap();
-        let bridge = connect_backup_over_tcp(&primary, backup_server.local_addr()).unwrap();
-
         let primary_server = ReactorServer::bind("127.0.0.1:0", primary.clone()).unwrap();
+        primary_server
+            .connect_backup(backup_server.local_addr())
+            .unwrap();
+
         let sub = TcpSubscriber::connect(primary_server.local_addr(), SubscriberId(1)).unwrap();
         std::thread::sleep(std::time::Duration::from_millis(50));
         let mut publisher = TcpPublisher::connect(primary_server.local_addr()).unwrap();
@@ -421,7 +284,6 @@ mod tests {
         backup.shutdown();
         primary_server.shutdown();
         backup_server.shutdown();
-        bridge.join();
         pt.join();
         bt.join();
     }

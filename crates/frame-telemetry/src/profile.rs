@@ -1,9 +1,9 @@
 //! Process-wide resource accounting attributed to thread roles.
 //!
 //! Every long-lived FRAME thread registers itself under a [`RoleKind`]
-//! (reactor loop N, delivery worker N, detector, backup bridge,
-//! observability, sampler, …) with [`register_thread_role`]. From then on
-//! three cost streams are attributed to that role:
+//! (reactor loop N, delivery worker N, detector, observability, sampler,
+//! …) with [`register_thread_role`]. From then on three cost streams are
+//! attributed to that role:
 //!
 //! - **Allocations** — the feature-gated [`CountingAlloc`]
 //!   `#[global_allocator]` wrapper (feature `alloc-profile`, on by
@@ -42,8 +42,6 @@ pub enum RoleKind {
     Worker,
     /// The failure-detector thread.
     Detector,
-    /// The Primary→Backup replication bridge.
-    BackupBridge,
     /// Observability surface (HTTP accept loop + scrape connections).
     Obs,
     /// The metrics sampler thread.
@@ -61,7 +59,6 @@ impl RoleKind {
             RoleKind::Reactor => "reactor",
             RoleKind::Worker => "worker",
             RoleKind::Detector => "detector",
-            RoleKind::BackupBridge => "backup-bridge",
             RoleKind::Obs => "obs",
             RoleKind::Sampler => "sampler",
             RoleKind::FlightSink => "flight-sink",
@@ -77,10 +74,7 @@ impl RoleKind {
 
     /// Roles on the message hot path, counted into allocations-per-message.
     pub fn hot_path(self) -> bool {
-        matches!(
-            self,
-            RoleKind::Reactor | RoleKind::Worker | RoleKind::BackupBridge
-        )
+        matches!(self, RoleKind::Reactor | RoleKind::Worker)
     }
 
     fn code(self) -> u64 {
@@ -88,11 +82,10 @@ impl RoleKind {
             RoleKind::Reactor => 1,
             RoleKind::Worker => 2,
             RoleKind::Detector => 3,
-            RoleKind::BackupBridge => 4,
-            RoleKind::Obs => 5,
-            RoleKind::Sampler => 6,
-            RoleKind::FlightSink => 7,
-            RoleKind::Other => 8,
+            RoleKind::Obs => 4,
+            RoleKind::Sampler => 5,
+            RoleKind::FlightSink => 6,
+            RoleKind::Other => 7,
         }
     }
 
@@ -101,11 +94,10 @@ impl RoleKind {
             1 => RoleKind::Reactor,
             2 => RoleKind::Worker,
             3 => RoleKind::Detector,
-            4 => RoleKind::BackupBridge,
-            5 => RoleKind::Obs,
-            6 => RoleKind::Sampler,
-            7 => RoleKind::FlightSink,
-            8 => RoleKind::Other,
+            4 => RoleKind::Obs,
+            5 => RoleKind::Sampler,
+            6 => RoleKind::FlightSink,
+            7 => RoleKind::Other,
             _ => return None,
         })
     }

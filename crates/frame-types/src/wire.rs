@@ -770,12 +770,6 @@ impl FrameWriteQueue {
         }
     }
 
-    /// A queue that never drops (blocking write paths, where the flush
-    /// itself is the backpressure).
-    pub fn unbounded() -> FrameWriteQueue {
-        FrameWriteQueue::bounded(usize::MAX)
-    }
-
     /// Queued frame count.
     pub fn len(&self) -> usize {
         self.frames.len()
@@ -834,25 +828,6 @@ impl FrameWriteQueue {
             }
         }
         Ok((true, syscalls))
-    }
-
-    /// Flushes until fully drained (blocking writers: the socket itself is
-    /// the backpressure). Returns the number of kernel writes used.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors (including `WriteZero`).
-    pub fn flush_blocking<W: Write>(&mut self, writer: &mut W) -> std::io::Result<u64> {
-        let mut syscalls = 0u64;
-        loop {
-            let (drained, calls) = self.write_vectored_some(writer)?;
-            syscalls += calls;
-            if drained {
-                return Ok(syscalls);
-            }
-            // A blocking socket only reports WouldBlock under a write
-            // timeout; yield to it by retrying (the vectored write blocks).
-        }
     }
 
     /// Advances the queue past `n` written bytes, dropping fully-written
@@ -1086,7 +1061,7 @@ mod tests {
 
     #[test]
     fn vectored_flush_resumes_across_partial_writes() {
-        let mut q = FrameWriteQueue::unbounded();
+        let mut q = FrameWriteQueue::bounded(usize::MAX);
         let mut expect = Vec::new();
         for i in 0..5 {
             let f = EncodedFrame::encode(&probe(i)).unwrap();
