@@ -1,19 +1,21 @@
-//! Worker-pool throughput of the threaded broker.
+//! Lock-overlap throughput of the threaded broker.
 //!
-//! Measures end-to-end broker throughput (publish → admit → schedule →
-//! dispatch → subscriber hand-off) for 1/2/4/8 delivery workers under EDF
-//! and FCFS, and writes `BENCH_broker_throughput.json` at the repo root —
-//! the perf-trajectory convention described in ROADMAP.md.
+//! Measures broker throughput (publish → admit → schedule → dispatch →
+//! subscriber hand-off) with 1/2/4/8 admitting threads under EDF and
+//! FCFS, and writes `BENCH_broker_throughput.json` at the repo root — the
+//! perf-trajectory convention described in ROADMAP.md. Each admitting
+//! thread publishes its own share of the topics and runs the jobs it
+//! claims, as a reactor loop does.
 //!
 //! Each finished job carries an emulated downstream wire service time
 //! ([`frame_rt::RtBroker::set_job_service_time`]): on the paper's testbed
 //! a Dispatcher spends most of a dispatch blocked on socket writes toward
-//! subscriber hosts, and that blocked time — not broker CPU — is what a
-//! worker pool overlaps. In-process channels erase it, which would make
-//! pool sizing invisible on CPU-starved runners; restoring it makes the
-//! scaling curve reflect the architecture (one broker lock + per-topic
-//! claims, effects sent outside the lock) rather than the host's core
-//! count.
+//! subscriber hosts, and that blocked time — not broker CPU — is what
+//! concurrent admitting threads overlap. In-process channels erase it,
+//! which would make that overlap invisible on CPU-starved runners;
+//! restoring it makes the scaling curve reflect the locking (one broker
+//! lock + per-topic claims, effects sent outside the lock) rather than the
+//! host's core count. It models lock overlap, not broker speed.
 //!
 //! Custom harness (`harness = false`): run with
 //! `cargo bench -p frame-bench --bench broker_throughput` (add `--quick`
@@ -37,20 +39,20 @@ use serde::Serialize;
 const TOPICS: u32 = 256;
 const FANOUT: u32 = 4;
 const SERVICE_TIME_US: u64 = 200;
-const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const PUBLISHER_COUNTS: [u32; 4] = [1, 2, 4, 8];
 
 #[derive(Serialize)]
 struct RunResult {
     policy: &'static str,
-    workers: usize,
+    publishers: u32,
     msgs_per_sec: f64,
     elapsed_ms: f64,
     messages: u64,
     dispatches: u64,
     queue_high_watermark: u64,
     /// Hot-path heap allocations per published message (sum over the
-    /// admitting publisher and worker roles below) — the figure the perf
-    /// gate watches.
+    /// admitting threads' roles below) — the figure the perf gate
+    /// watches.
     allocs_per_msg: f64,
     /// Per-role resource deltas over this run (allocations, CPU,
     /// syscalls), from the frame-telemetry role profile.
@@ -59,10 +61,10 @@ struct RunResult {
 
 #[derive(Serialize)]
 struct Speedups {
-    edf_2w_over_1w: f64,
-    edf_4w_over_1w: f64,
-    edf_8w_over_1w: f64,
-    fcfs_4w_over_1w: f64,
+    edf_2p_over_1p: f64,
+    edf_4p_over_1p: f64,
+    edf_8p_over_1p: f64,
+    fcfs_4p_over_1p: f64,
 }
 
 #[derive(Serialize)]
@@ -84,20 +86,20 @@ struct BenchReport {
     speedup: Speedups,
 }
 
-/// One full pass: flood `messages` across the topics, wait until every
-/// subscriber channel drained its copy of each, return msgs/sec.
-fn run_once(policy: SchedulingPolicy, workers: usize, messages: u64) -> RunResult {
+/// One full pass: flood `messages` across the topics from `publishers`
+/// threads, wait until every subscriber channel drained its copy of each,
+/// return msgs/sec.
+fn run_once(policy: SchedulingPolicy, publishers: u32, messages: u64) -> RunResult {
     let profile_before = frame_telemetry::snapshot_roles();
     let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
     let config = BrokerConfig {
         policy,
         ..BrokerConfig::frame()
     };
-    let (broker, threads) = RtBroker::spawn(
+    let broker = RtBroker::spawn(
         BrokerId(0),
         BrokerRole::Primary,
         config,
-        workers,
         clock.clone(),
         Telemetry::disabled(),
         None,
@@ -130,27 +132,34 @@ fn run_once(policy: SchedulingPolicy, workers: usize, messages: u64) -> RunResul
     }
 
     let start = Instant::now();
-    let publisher = {
-        let broker = broker.clone();
-        std::thread::spawn(move || {
-            // Admission runs on the publishing thread, as it does on a
-            // reactor loop, so its cost is charged to that hot-path role.
-            frame_telemetry::register_thread_role(frame_telemetry::RoleKind::Reactor, 0);
-            for i in 0..messages {
-                let topic = (i % u64::from(TOPICS)) as u32;
-                let seq = i / u64::from(TOPICS);
-                broker.publish(Message::new(
-                    TopicId(topic),
-                    PublisherId(0),
-                    SeqNo(seq),
-                    clock.now(),
-                    &b"0123456789abcdef"[..],
-                ));
-            }
-            frame_telemetry::stamp_thread_cpu();
+    let threads: Vec<_> = (0..publishers)
+        .map(|p| {
+            let (broker, clock) = (broker.clone(), clock.clone());
+            std::thread::spawn(move || {
+                // Admission and the jobs it claims run on the publishing
+                // thread, as they do on a reactor loop, so their cost is
+                // charged to that hot-path role.
+                frame_telemetry::register_thread_role(
+                    frame_telemetry::RoleKind::Reactor,
+                    p as usize,
+                );
+                // Each topic has one publisher, so its seqs stay in order.
+                for i in (0..messages).filter(|i| i % u64::from(publishers) == u64::from(p)) {
+                    broker.publish(Message::new(
+                        TopicId((i % u64::from(TOPICS)) as u32),
+                        PublisherId(p),
+                        SeqNo(i / u64::from(TOPICS)),
+                        clock.now(),
+                        &b"0123456789abcdef"[..],
+                    ));
+                }
+                frame_telemetry::stamp_thread_cpu();
+            })
         })
-    };
-    publisher.join().expect("publisher");
+        .collect();
+    for t in threads {
+        t.join().expect("publisher");
+    }
     let mut drained = 0u64;
     for d in drainers {
         drained += d.join().expect("drainer");
@@ -163,9 +172,8 @@ fn run_once(policy: SchedulingPolicy, workers: usize, messages: u64) -> RunResul
     );
     let stats = broker.stats();
     broker.shutdown();
-    threads.join();
-    // Worker threads stamp their CPU totals on exit, so the diff is
-    // only complete once the pool has joined.
+    // Publishing threads stamp their CPU totals on exit, so the diff is
+    // only complete once they have joined.
     let roles = frame_bench::role_costs(
         &profile_before,
         &frame_telemetry::snapshot_roles(),
@@ -176,7 +184,7 @@ fn run_once(policy: SchedulingPolicy, workers: usize, messages: u64) -> RunResul
             SchedulingPolicy::Edf => "edf",
             SchedulingPolicy::Fcfs => "fcfs",
         },
-        workers,
+        publishers,
         msgs_per_sec: messages as f64 / elapsed.as_secs_f64(),
         elapsed_ms: elapsed.as_secs_f64() * 1e3,
         messages,
@@ -187,10 +195,10 @@ fn run_once(policy: SchedulingPolicy, workers: usize, messages: u64) -> RunResul
     }
 }
 
-fn best_of(repeats: usize, policy: SchedulingPolicy, workers: usize, messages: u64) -> RunResult {
+fn best_of(repeats: usize, policy: SchedulingPolicy, publishers: u32, messages: u64) -> RunResult {
     let mut best: Option<RunResult> = None;
     for _ in 0..repeats {
-        let r = run_once(policy, workers, messages);
+        let r = run_once(policy, publishers, messages);
         if best
             .as_ref()
             .is_none_or(|b| r.msgs_per_sec > b.msgs_per_sec)
@@ -201,10 +209,10 @@ fn best_of(repeats: usize, policy: SchedulingPolicy, workers: usize, messages: u
     best.expect("at least one repeat")
 }
 
-fn throughput_of(results: &[RunResult], policy: &str, workers: usize) -> f64 {
+fn throughput_of(results: &[RunResult], policy: &str, publishers: u32) -> f64 {
     results
         .iter()
-        .find(|r| r.policy == policy && r.workers == workers)
+        .find(|r| r.policy == policy && r.publishers == publishers)
         .map(|r| r.msgs_per_sec)
         .expect("matrix covers this configuration")
 }
@@ -218,25 +226,25 @@ fn main() {
 
     let mut results = Vec::new();
     for policy in [SchedulingPolicy::Edf, SchedulingPolicy::Fcfs] {
-        for workers in WORKER_COUNTS {
-            let r = best_of(repeats, policy, workers, messages);
+        for publishers in PUBLISHER_COUNTS {
+            let r = best_of(repeats, policy, publishers, messages);
             eprintln!(
-                "{:<5} workers={}  {:>10.0} msgs/s  ({:.0} ms)  {:.1} allocs/msg",
-                r.policy, r.workers, r.msgs_per_sec, r.elapsed_ms, r.allocs_per_msg
+                "{:<5} publishers={}  {:>10.0} msgs/s  ({:.0} ms)  {:.1} allocs/msg",
+                r.policy, r.publishers, r.msgs_per_sec, r.elapsed_ms, r.allocs_per_msg
             );
             results.push(r);
         }
     }
 
     let speedup = Speedups {
-        edf_2w_over_1w: throughput_of(&results, "edf", 2) / throughput_of(&results, "edf", 1),
-        edf_4w_over_1w: throughput_of(&results, "edf", 4) / throughput_of(&results, "edf", 1),
-        edf_8w_over_1w: throughput_of(&results, "edf", 8) / throughput_of(&results, "edf", 1),
-        fcfs_4w_over_1w: throughput_of(&results, "fcfs", 4) / throughput_of(&results, "fcfs", 1),
+        edf_2p_over_1p: throughput_of(&results, "edf", 2) / throughput_of(&results, "edf", 1),
+        edf_4p_over_1p: throughput_of(&results, "edf", 4) / throughput_of(&results, "edf", 1),
+        edf_8p_over_1p: throughput_of(&results, "edf", 8) / throughput_of(&results, "edf", 1),
+        fcfs_4p_over_1p: throughput_of(&results, "fcfs", 4) / throughput_of(&results, "fcfs", 1),
     };
     eprintln!(
-        "speedup over 1 worker (edf): 2w={:.2}x 4w={:.2}x 8w={:.2}x",
-        speedup.edf_2w_over_1w, speedup.edf_4w_over_1w, speedup.edf_8w_over_1w
+        "speedup over 1 publisher (edf): 2p={:.2}x 4p={:.2}x 8p={:.2}x",
+        speedup.edf_2p_over_1p, speedup.edf_4p_over_1p, speedup.edf_8p_over_1p
     );
 
     let report = BenchReport {
@@ -250,13 +258,16 @@ fn main() {
         repeats,
         job_service_time_us: SERVICE_TIME_US,
         alloc_profiling: frame_telemetry::alloc_profiling_enabled(),
-        note: "Each job carries an emulated downstream wire service time \
-               (set_job_service_time), so msgs/sec reflects how well the \
-               worker pool overlaps dispatch work under the one-lock + \
-               claim design, independent of host core count. Per-run \
-               `roles` rows attribute allocations, CPU and syscalls to \
-               broker roles via the frame-telemetry profile table; \
-               `allocs_per_msg` sums the hot-path roles.",
+        note: "Rows model lock overlap, not broker speed: `publishers` \
+               threads each admit their share of the topics and run the \
+               jobs they claim, and each job carries an emulated \
+               downstream wire service time (set_job_service_time) that \
+               the thread sleeps once its run of jobs ends, so msgs/sec \
+               reflects how well admitting threads overlap under the \
+               one-lock + claim design, independent of host core count. \
+               Per-run `roles` rows attribute allocations, CPU and \
+               syscalls to broker roles via the frame-telemetry profile \
+               table; `allocs_per_msg` sums the hot-path roles.",
         results,
         speedup,
     };
@@ -268,9 +279,10 @@ fn main() {
     std::fs::write(path, json + "\n").expect("write BENCH_broker_throughput.json");
     eprintln!("wrote {path}");
 
-    // Sanity: the matrix covered every (policy, workers) pair exactly once.
+    // Sanity: the matrix covered every (policy, publishers) pair exactly
+    // once.
     let mut seen = HashSet::new();
     for r in &report.results {
-        assert!(seen.insert((r.policy, r.workers)));
+        assert!(seen.insert((r.policy, r.publishers)));
     }
 }

@@ -113,11 +113,10 @@ fn run_rung(publishers: usize, conn_budget: usize) -> RungResult {
     let connections = publishers.min(conn_budget);
     let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
     let telemetry = Telemetry::new();
-    let (broker, threads) = RtBroker::spawn(
+    let broker = RtBroker::spawn(
         BrokerId(0),
         BrokerRole::Primary,
         BrokerConfig::frame(),
-        2,
         clock.clone(),
         telemetry.clone(),
         None,
@@ -232,7 +231,6 @@ fn run_rung(publishers: usize, conn_budget: usize) -> RungResult {
     drop(parts);
     server.shutdown();
     broker.shutdown();
-    threads.join();
     RungResult {
         publishers,
         connections,

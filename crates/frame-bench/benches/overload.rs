@@ -197,10 +197,11 @@ fn main() {
     // Logical-clock workload: quick trims the horizon, not the physics.
     let steps: u64 = if quick { 1_200 } else { 4_000 };
 
-    // Attribute the single-threaded drive loop as a delivery worker so
-    // the allocation profile of the admission + dispatch path lands in a
-    // hot-path role slot instead of the unattributed catch-all.
-    frame_telemetry::register_thread_role(RoleKind::Worker, 0);
+    // Attribute the single-threaded drive loop as a reactor loop — the
+    // role that admits and dispatches — so the allocation profile of that
+    // path lands in a hot-path role slot instead of the unattributed
+    // catch-all.
+    frame_telemetry::register_thread_role(RoleKind::Reactor, 0);
 
     let mut results = Vec::new();
     for (rung, offered) in RUNGS {

@@ -17,7 +17,7 @@
 //! * **Table 3 (replica before prune)** — in the Primary's emission
 //!   stream, no `(topic, seq)` is ever pruned before it was replicated.
 //!   Evidence: the injector's emission-order observations, captured while
-//!   the emitting worker holds the topic's claim.
+//!   the emitting thread holds the topic's claim.
 //! * **Exactly-once dispatch** — without a crash or scripted duplication,
 //!   every delivered sequence arrives exactly once; with them, duplicates
 //!   are allowed only where the script explains them (fail-over re-sends

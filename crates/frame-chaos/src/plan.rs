@@ -40,7 +40,7 @@ use serde::Deserialize;
 pub enum Surface {
     /// A frame crossing one of the paper's three network hops.
     Frame(Hop),
-    /// A delivery worker, stalled before servicing a job.
+    /// The thread running a job, stalled before it services the job.
     Worker,
     /// The failure detector, stalled before each liveness poll.
     Detector,
@@ -77,7 +77,7 @@ pub enum Action {
     Duplicate(u32),
     /// Cut the payload to this many bytes.
     Truncate(usize),
-    /// Stall a worker or the detector for this long.
+    /// Stall the thread running a job, or the detector, for this long.
     Stall(Duration),
 }
 

@@ -54,7 +54,7 @@ pub struct ChaosReport {
 
 /// How long a broker must hold a stable counter fingerprint (wall time)
 /// before a sub-step is considered quiesced. Scripted wall-clock delays
-/// (delayed frames, stalled workers) widen the window so a parked frame
+/// (delayed frames, stalled jobs) widen the window so a parked frame
 /// always lands inside the sub-step that scheduled it.
 fn stability_window(plan: &FaultPlan) -> StdDuration {
     let mut slack_ms = 0u64;

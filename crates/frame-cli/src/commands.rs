@@ -85,7 +85,6 @@ pub struct RunningBroker {
     pub server: ReactorServer,
     /// The `/metrics` + `/healthz` listener, when `--obs` was given.
     pub obs: Option<(frame_obs::ObsSampler, frame_obs::ObsServer)>,
-    threads: frame_rt::RtBrokerThreads,
 }
 
 impl RunningBroker {
@@ -97,7 +96,6 @@ impl RunningBroker {
         }
         self.broker.shutdown();
         self.server.shutdown();
-        self.threads.join();
     }
 }
 
@@ -111,19 +109,17 @@ pub fn cmd_broker(
     listen: &str,
     role: BrokerRole,
     config: BrokerConfig,
-    workers: usize,
     backup_addr: Option<SocketAddr>,
     obs_addr: Option<&str>,
 ) -> Result<RunningBroker, String> {
     let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
-    let (broker, threads) = RtBroker::spawn(
+    let broker = RtBroker::spawn(
         BrokerId(match role {
             BrokerRole::Primary => 0,
             BrokerRole::Backup => 1,
         }),
         role,
         config,
-        workers,
         clock.clone(),
         Telemetry::new(),
         None,
@@ -157,7 +153,6 @@ pub fn cmd_broker(
         broker,
         server,
         obs,
-        threads,
     })
 }
 
@@ -784,7 +779,6 @@ mod tests {
             "127.0.0.1:0",
             BrokerRole::Primary,
             BrokerConfig::frame(),
-            2,
             None,
             None,
         )
@@ -794,7 +788,6 @@ mod tests {
             "127.0.0.1:0",
             BrokerRole::Backup,
             BrokerConfig::frame(),
-            2,
             None,
             None,
         )
@@ -828,7 +821,6 @@ mod tests {
             "127.0.0.1:0",
             BrokerRole::Primary,
             BrokerConfig::frame(),
-            2,
             None,
             None,
         )
@@ -907,7 +899,6 @@ mod tests {
             "127.0.0.1:0",
             BrokerRole::Primary,
             BrokerConfig::frame(),
-            2,
             None,
             Some("127.0.0.1:0"),
         )

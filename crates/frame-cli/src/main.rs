@@ -4,7 +4,7 @@
 //! frame-cli admit     --manifest topics.json
 //! frame-cli broker    --manifest topics.json --listen 0.0.0.0:7400
 //!                     [--role primary|backup] [--config frame|fcfs|fcfs-]
-//!                     [--workers N] [--backup-addr host:port]
+//!                     [--backup-addr host:port]
 //!                     [--obs host:port]     # /metrics /healthz /series /profile
 //! frame-cli publish   --manifest topics.json --addr host:port
 //!                     [--publisher-id N] [--rounds N]
@@ -55,7 +55,6 @@ fn known_flags(cmd: &str) -> Option<&'static [&'static str]> {
             "--listen",
             "--role",
             "--config",
-            "--workers",
             "--backup-addr",
             "--obs",
         ],
@@ -126,24 +125,11 @@ fn run(args: &[String]) -> Result<i32, String> {
                 other => return Err(format!("unknown role `{other}`")),
             };
             let config = parse_config(flags.get("--config").unwrap_or("frame"))?;
-            let workers: usize = flags
-                .get("--workers")
-                .unwrap_or("6")
-                .parse()
-                .map_err(|_| "bad --workers".to_owned())?;
             let backup_addr: Option<SocketAddr> = match flags.get("--backup-addr") {
                 Some(a) => Some(a.parse().map_err(|_| "bad --backup-addr".to_owned())?),
                 None => None,
             };
-            let running = cmd_broker(
-                &m,
-                listen,
-                role,
-                config,
-                workers,
-                backup_addr,
-                flags.get("--obs"),
-            )?;
+            let running = cmd_broker(&m, listen, role, config, backup_addr, flags.get("--obs"))?;
             eprintln!(
                 "broker listening on {} ({:?}, {} topics); Ctrl-C to stop",
                 running.server.local_addr(),
@@ -382,7 +368,7 @@ fn parse_interval_secs(flag: &str, value: &str) -> Result<u64, String> {
 fn usage() -> String {
     "usage:\n  frame-cli admit     --manifest topics.json\n  \
      frame-cli broker    --manifest topics.json --listen ADDR [--role primary|backup]\n            \
-     \u{20}         [--config frame|fcfs|fcfs-] [--workers N] [--backup-addr ADDR]\n            \
+     \u{20}         [--config frame|fcfs|fcfs-] [--backup-addr ADDR]\n            \
      \u{20}         [--obs ADDR]\n  \
      frame-cli publish   --manifest topics.json --addr ADDR [--publisher-id N] [--rounds N]\n  \
      frame-cli subscribe --addr ADDR --subscriber-id N [--count N]\n  \
@@ -427,6 +413,13 @@ mod tests {
             run_strs(&["broker", "--manifest", "t.json", "--ingress", "threaded"]).unwrap_err();
         assert!(
             err.starts_with("unknown flag `--ingress` for `broker`"),
+            "got: {err}"
+        );
+        // There is no pool to size: jobs run on the reactor loops that
+        // admit them.
+        let err = run_strs(&["broker", "--manifest", "t.json", "--workers", "6"]).unwrap_err();
+        assert!(
+            err.starts_with("unknown flag `--workers` for `broker`"),
             "got: {err}"
         );
         let err = run_strs(&["stats", "--addr", "127.0.0.1:9", "--wacth", "3"]).unwrap_err();

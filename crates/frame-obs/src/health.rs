@@ -18,7 +18,7 @@ pub enum HealthVerdict {
     /// Something needs attention but delivery capacity remains (stalled
     /// detector, unresponsive Primary pre-promotion, SLO burn).
     Degraded,
-    /// Delivery capacity itself is gone (workers or proxy stalled).
+    /// Delivery capacity itself is gone (dispatch or proxy stalled).
     Unhealthy,
 }
 
@@ -51,7 +51,8 @@ impl std::fmt::Display for HealthVerdict {
 /// Watchdog and threshold configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct HealthConfig {
-    /// Max silence of the worker heartbeat before `Unhealthy`.
+    /// Max time without a finished job, while jobs are queued, before
+    /// `Unhealthy`.
     pub worker_stall: Duration,
     /// Max silence of the proxy heartbeat before `Unhealthy`.
     pub proxy_stall: Duration,
@@ -105,7 +106,7 @@ impl HealthReport {
 
 /// Age of a heartbeat at `now_ns`, or `None` when the signal never beat
 /// (its watchdog is then skipped: a feature that never started — no
-/// detector, no workers yet — is not a failure).
+/// detector, no job run yet — is not a failure).
 fn heartbeat_age_ns(snap: &TelemetrySnapshot, kind: HeartbeatKind, now_ns: u64) -> Option<u64> {
     let hb = snap.heartbeat(kind)?;
     if hb.beats == 0 {
@@ -133,12 +134,16 @@ pub fn evaluate(
         reasons.push(reason);
     };
 
+    // The worker heartbeat beats when a job finishes, on whichever thread
+    // ran it, so its silence means a stall only while jobs wait: an idle
+    // broker finishes nothing and is healthy.
+    let queued: u64 = snap.queues.iter().map(|q| q.depth).sum();
     if let Some(age) = heartbeat_age_ns(snap, HeartbeatKind::Worker, now_ns) {
-        if age > cfg.worker_stall.as_nanos() {
+        if queued > 0 && age > cfg.worker_stall.as_nanos() {
             raise(
                 HealthVerdict::Unhealthy,
                 format!(
-                    "workers stalled: no delivery-worker heartbeat within {}ms",
+                    "workers stalled: jobs queued, none finished within {}ms",
                     cfg.worker_stall.as_millis()
                 ),
                 &mut reasons,
@@ -253,7 +258,6 @@ pub fn evaluate(
         // Deliveries frozen while jobs sit queued: a wedged pipeline even
         // though every thread still beats.
         let delivered = |s: &TelemetrySnapshot| s.slos.iter().map(|t| t.delivered).sum::<u64>();
-        let queued: u64 = snap.queues.iter().map(|q| q.depth).sum();
         if queued > 0 && delivered(snap) == delivered(prev) {
             raise(
                 HealthVerdict::Degraded,
@@ -291,9 +295,12 @@ mod tests {
     }
 
     #[test]
-    fn stalled_workers_are_unhealthy() {
+    fn idle_broker_stays_healthy_past_worker_stall() {
+        // The last job finished at 100 ms and nothing is queued: silence
+        // for twice `worker_stall` is idleness, not a stall.
         let t = Telemetry::new();
         t.heartbeat(HeartbeatKind::Worker, Time::from_millis(100));
+        t.record_queue_depth(BrokerId(0), 0);
         let r = evaluate(
             &HealthConfig::default(),
             None,
@@ -301,8 +308,29 @@ mod tests {
             ms(100) + Duration::from_secs(2).as_nanos(),
             ms(100),
         );
+        assert_eq!(r.verdict, HealthVerdict::Healthy, "{:?}", r.reasons);
+    }
+
+    #[test]
+    fn queued_job_behind_stalled_dispatch_is_unhealthy() {
+        // A job waits while no job has finished for twice `worker_stall`:
+        // the thread holding the dispatch is stuck.
+        let t = Telemetry::new();
+        t.heartbeat(HeartbeatKind::Worker, Time::from_millis(100));
+        t.record_queue_depth(BrokerId(0), 1);
+        let now = ms(100) + Duration::from_secs(2).as_nanos();
+        let r = evaluate(&HealthConfig::default(), None, &t.snapshot(), now, ms(100));
         assert_eq!(r.verdict, HealthVerdict::Unhealthy);
         assert!(r.reasons[0].contains("workers stalled"));
+        // Within `worker_stall` of the last finished job it is not yet.
+        let r = evaluate(
+            &HealthConfig::default(),
+            None,
+            &t.snapshot(),
+            ms(600),
+            ms(100),
+        );
+        assert_eq!(r.verdict, HealthVerdict::Healthy, "{:?}", r.reasons);
     }
 
     #[test]

@@ -107,7 +107,7 @@ pub struct SamplePoint {
 /// differentiated from two consecutive [`TelemetrySnapshot`]s.
 #[derive(Clone, Debug, Default)]
 pub struct RoleRate {
-    /// Stable role name (`reactor-0`, `worker-3`, `detector`, ...).
+    /// Stable role name (`reactor-0`, `reactor-1`, `detector`, ...).
     pub role: String,
     /// Whether the role is on the per-message hot path (counted in
     /// [`SamplePoint::allocs_per_message`]).

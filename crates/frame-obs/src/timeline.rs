@@ -35,9 +35,9 @@ pub struct TimelinePoint {
     pub incidents: u64,
     /// Scheduler queue depth (summed across brokers). Deterministic at a
     /// quiesced sample point; the high *watermark* is not — how deep a
-    /// re-delivery burst stacks depends on worker drain speed — so the
-    /// watermark stays on the live surfaces (`/metrics`, `/series`, `top`)
-    /// and out of this artifact.
+    /// re-delivery burst stacks depends on how far each run of jobs
+    /// drains — so the watermark stays on the live surfaces (`/metrics`,
+    /// `/series`, `top`) and out of this artifact.
     pub queue_depth: u64,
     /// Overload-controller rung at this sample (0 = normal service) —
     /// deterministic because control ticks ride the logical schedule.

@@ -1,7 +1,7 @@
 //! Fault-injection hooks for the threaded runtime.
 //!
 //! The runtime consults an optional [`FaultHook`] at each of the three
-//! hops of the paper's network model ([`Hop`]) and at the worker loop.
+//! hops of the paper's network model ([`Hop`]) and before each job runs.
 //! Production systems run with no hook installed — every call site is an
 //! `Option<Arc<dyn FaultHook>>` check that branches on `None` — while the
 //! `frame-chaos` crate installs a scripted, seeded implementation to
@@ -91,9 +91,10 @@ pub trait FaultHook: Send + Sync {
         FrameFate::PASS
     }
 
-    /// A bounded stall imposed on the delivery worker *before* it services
-    /// the job for `(topic, seq)`. The sleep happens lock-free, so it
-    /// models a preempted/overloaded worker consuming queue-wait budget.
+    /// A bounded stall imposed on the thread running the job for
+    /// `(topic, seq)`, *before* it services it. The sleep happens with the
+    /// broker lock dropped (the topic stays claimed), so it models a
+    /// preempted/overloaded dispatcher consuming queue-wait budget.
     fn on_worker_job(&self, topic: TopicId, seq: SeqNo) -> Option<StdDuration> {
         let _ = (topic, seq);
         None
@@ -107,7 +108,7 @@ pub trait FaultHook: Send + Sync {
     }
 
     /// Observes one Primary→Backup effect at its emission point, *before*
-    /// any fate is applied. Called while the emitting worker holds the
+    /// any fate is applied. Called while the thread that ran the job holds the
     /// topic's claim (the broker lock is already dropped), so for a given
     /// topic the call order is the Primary's Table-3 order — an observer
     /// can assert a prune is never emitted ahead of its replica.

@@ -3,11 +3,12 @@
 //! The discrete-event simulator (`frame-sim`) reproduces the paper's
 //! evaluation with modeled CPU time; this crate runs the *same* sans-IO
 //! broker core on real threads, mirroring the paper's implementation
-//! structure (§V): a pool of delivery worker threads blocking on the EDF
-//! Job Queue, with a polling failure detector and live Primary→Backup
-//! fail-over. The Message Proxy is not a thread: admission runs on the
-//! caller's thread — a reactor event loop ([`ReactorServer`]) for socket
-//! traffic, the publisher's own thread in-process ([`RtBroker::publish`]).
+//! structure (§V) — Message Proxy, EDF Job Queue, Dispatchers and
+//! Replicators, a polling failure detector and live Primary→Backup
+//! fail-over — without a thread per role. Admission and the jobs it makes
+//! claimable run to completion on the caller's thread: a reactor event
+//! loop ([`ReactorServer`]) for socket traffic, the publisher's own thread
+//! in-process ([`RtBroker::publish`]).
 //!
 //! A broker is built by one constructor, [`RtBroker::spawn`], and a
 //! subscriber attaches with one call, [`RtBroker::connect_subscriber`].
@@ -46,9 +47,7 @@ pub mod reactor;
 pub mod system;
 pub mod tcp;
 
-pub use broker_rt::{
-    BackupEffect, BackupSink, Delivered, DeliveryNotify, RtBroker, RtBrokerThreads,
-};
+pub use broker_rt::{BackupEffect, BackupSink, Delivered, DeliveryNotify, RtBroker};
 pub use fault::{BackupEffectKind, FaultHook, FrameFate, Hop, SharedFaultHook};
 pub use reactor::{ReactorConfig, ReactorServer};
 pub use system::{RtPublisher, RtSystem, RtSystemBuilder};

@@ -24,13 +24,17 @@
 //!   Deliveries to a full queue are dropped and counted — a slow consumer
 //!   loses its own frames, never the loop.
 //! - **One outbound source per connection**: a subscriber's deliveries or
-//!   the Backup link's replicas and prunes, pushed onto a channel by
-//!   workers and drained in order by the owning loop.
+//!   the Backup link's replicas and prunes, pushed onto a channel by the
+//!   thread that ran the job and drained in order by the owning loop.
 //!
 //! Decoded messages are admitted on the loop itself: publishes, re-sends
 //! and replica batches call [`RtBroker::publish`], [`RtBroker::resend`]
-//! and [`RtBroker::apply_backup`], each one short critical section under
-//! the broker lock, so the loop *is* the broker's Message Proxy. While the
+//! and [`RtBroker::apply_backup`], and the jobs a publish makes claimable
+//! run to completion right there, so the loop *is* the broker's Message
+//! Proxy and its Dispatcher. A delivery bound for a connection the same
+//! loop owns is queued for this iteration's outbound drain without a
+//! poller wake-up; only one bound for another loop's connection (or the
+//! Backup link on another loop) nudges that loop's poller. While the
 //! broker is alive each loop iteration beats the proxy heartbeat, and a
 //! liveness `Poll` is acked at once; a dead broker's loops close every
 //! connection and stay silent.
@@ -38,6 +42,7 @@
 //! rides the same connections but is answered from queued responses, so a
 //! management round-trip never blocks a data loop either.
 
+use std::cell::Cell;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -308,8 +313,8 @@ impl LogBackoff {
     }
 }
 
-/// State a loop shares with the accept loop, `connect_backup` and broker
-/// worker threads (outbound wake-ups).
+/// State a loop shares with the accept loop, `connect_backup` and the
+/// threads that run broker jobs (outbound wake-ups).
 struct LoopShared {
     poller: Poller,
     injected: Mutex<Vec<Injected>>,
@@ -322,10 +327,10 @@ struct LoopShared {
 /// link, with its tag and outbound source.
 type Injected = (TcpStream, Arc<ConnTag>, Option<Outbound>);
 
-/// A connection's cross-thread identity. Worker threads hold it inside
-/// wake-up callbacks; the owning loop checks pointer identity before
-/// trusting `key`, so a key reused after close can never route another
-/// connection's wake-up to the wrong socket.
+/// A connection's cross-thread identity. Wake-up callbacks hold it on
+/// whichever thread runs a job; the owning loop checks pointer identity
+/// before trusting `key`, so a key reused after close can never route
+/// another connection's wake-up to the wrong socket.
 struct ConnTag {
     /// Slab key, set by the owning loop at adoption (`usize::MAX` until
     /// then, which names no connection).
@@ -388,8 +393,15 @@ struct LoopCtx {
     gauges: ReactorGauges,
 }
 
+thread_local! {
+    /// The [`LoopShared`] of the loop running on this thread (null on any
+    /// other thread), so a wake-up can tell it is already on its loop.
+    static CURRENT_LOOP: Cell<*const LoopShared> = const { Cell::new(std::ptr::null()) };
+}
+
 fn run_loop(ctx: LoopCtx) {
     frame_telemetry::register_thread_role(frame_telemetry::RoleKind::Reactor, ctx.index);
+    CURRENT_LOOP.set(Arc::as_ptr(&ctx.shared));
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut events = Events::new();
@@ -405,6 +417,10 @@ fn run_loop(ctx: LoopCtx) {
     // clock_gettime syscall stays off the per-wakeup path.
     let mut iter_end = Instant::now();
     let mut wakeups_since_stamp = 0u32;
+    // Swapped with the shared hand-off lists each iteration, so both
+    // keep their capacity and a wake-up allocates nothing.
+    let mut injected: Vec<Injected> = Vec::new();
+    let mut ready: Vec<Arc<ConnTag>> = Vec::new();
 
     loop {
         events.clear();
@@ -439,8 +455,8 @@ fn run_loop(ctx: LoopCtx) {
         let broker_dead = !broker_was_alive;
 
         // Adopt connections handed to this loop.
-        let injected = std::mem::take(&mut *ctx.shared.injected.lock());
-        for (stream, tag, outbound) in injected {
+        std::mem::swap(&mut injected, &mut *ctx.shared.injected.lock());
+        for (stream, tag, outbound) in injected.drain(..) {
             if broker_dead {
                 tag.closed.store(true, Ordering::Release);
                 continue; // dropped: closes the socket
@@ -485,9 +501,10 @@ fn run_loop(ctx: LoopCtx) {
         }
 
         // Drain outbound wake-ups (after events, so a Subscribe decoded
-        // this iteration is already visible).
-        let ready: Vec<Arc<ConnTag>> = std::mem::take(&mut *ctx.shared.outbound_ready.lock());
-        for tag in ready {
+        // this iteration is already visible, and so are the deliveries the
+        // jobs run on this loop queued without a poller wake-up).
+        std::mem::swap(&mut ready, &mut *ctx.shared.outbound_ready.lock());
+        for tag in ready.drain(..) {
             // Clear before draining: an item pushed after this store
             // re-queues the tag; one pushed before it is caught by the
             // drain below. Either way nothing is stranded.
@@ -514,6 +531,7 @@ fn run_loop(ctx: LoopCtx) {
     // is handed from now on; subscribers see EOF.
     close_all(&mut conns, &mut free, &ctx.shared.poller);
     ctx.gauges.set_registered(0);
+    CURRENT_LOOP.set(std::ptr::null());
     frame_telemetry::stamp_thread_cpu();
 }
 
@@ -703,8 +721,10 @@ fn pump_outbound(conn: &mut Conn, ctx: &LoopCtx) -> bool {
 }
 
 /// Reads up to the per-wakeup budget, feeding the incremental decoder.
-/// `false` = close (EOF, socket error, unrecoverable framing, protocol
-/// violation).
+/// A short read ends the turn: the socket is drained for now, and the
+/// re-armed readable interest fires again if more bytes arrive, so no
+/// `read` is spent just to hear `WouldBlock`. `false` = close (EOF, socket
+/// error, unrecoverable framing, protocol violation).
 fn read_budgeted(conn: &mut Conn, ctx: &LoopCtx, buf: &mut [u8]) -> bool {
     let mut used = 0usize;
     loop {
@@ -745,6 +765,9 @@ fn read_budgeted(conn: &mut Conn, ctx: &LoopCtx, buf: &mut [u8]) -> bool {
             return false;
         }
         used += n;
+        if n < buf.len() {
+            break;
+        }
         if used >= ctx.config.read_budget {
             // Parked with bytes likely still pending: the re-armed
             // readable interest fires again immediately, giving other
@@ -824,13 +847,16 @@ fn enqueue_response(conn: &mut Conn, msg: &WireMsg) -> bool {
 
 /// The wake-up after pushing onto a connection's outbound channel (a
 /// subscriber's [`crate::DeliveryNotify`], the link's sink): queue the
-/// tag once and nudge the loop's poller.
+/// tag once and nudge the loop's poller — unless this runs on that loop's
+/// own thread, which drains its ready list later in the same iteration.
 fn wake(shared: &LoopShared, tag: &Arc<ConnTag>) {
     if tag.closed.load(Ordering::Acquire) {
         return;
     }
     if !tag.queued.swap(true, Ordering::AcqRel) {
         shared.outbound_ready.lock().push(tag.clone());
-        let _ = shared.poller.notify();
+        if !std::ptr::eq(CURRENT_LOOP.get(), shared) {
+            let _ = shared.poller.notify();
+        }
     }
 }

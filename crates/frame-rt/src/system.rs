@@ -21,7 +21,7 @@ use frame_types::{
 };
 use parking_lot::Mutex;
 
-use crate::broker_rt::{Delivered, RtBroker, RtBrokerThreads};
+use crate::broker_rt::{Delivered, RtBroker};
 use crate::fault::{fate_of, FaultHook, Hop, SharedFaultHook};
 use crate::reactor::ReactorServer;
 
@@ -130,9 +130,7 @@ pub struct RtSystem {
     pub backup: RtBroker,
     clock: Arc<dyn Clock>,
     net: NetworkParams,
-    workers: usize,
     publishers: Vec<Arc<RtPublisher>>,
-    threads: Vec<RtBrokerThreads>,
     detector: Option<JoinHandle<()>>,
     telemetry: Telemetry,
     flight_sink: Option<FlightSink>,
@@ -209,8 +207,7 @@ fn spawn_flight_sink(telemetry: Telemetry, dir: &std::path::Path) -> std::io::Re
     Ok(FlightSink { stop, thread, path })
 }
 
-/// Configures and starts an [`RtSystem`]: broker pair, worker pools,
-/// telemetry, optional flight-recorder dump sink, and optional scripted
+/// Configures and starts an [`RtSystem`]: broker pair, telemetry, optional flight-recorder dump sink, and optional scripted
 /// fault injection.
 ///
 /// ```no_run
@@ -218,7 +215,6 @@ fn spawn_flight_sink(telemetry: Telemetry, dir: &std::path::Path) -> std::io::Re
 /// use frame_rt::RtSystem;
 ///
 /// let sys = RtSystem::builder(BrokerConfig::frame())
-///     .workers(4)
 ///     .flight_dump("/tmp/frame-dump")
 ///     .start()
 ///     .expect("system starts");
@@ -227,7 +223,6 @@ fn spawn_flight_sink(telemetry: Telemetry, dir: &std::path::Path) -> std::io::Re
 #[must_use = "a builder does nothing until `start()` is called"]
 pub struct RtSystemBuilder {
     config: BrokerConfig,
-    workers: usize,
     net: NetworkParams,
     telemetry: Telemetry,
     flight_dump: Option<std::path::PathBuf>,
@@ -259,12 +254,6 @@ impl RtSystemBuilder {
         self.overload = Some((config, false));
         self
     }
-    /// Number of delivery worker threads per broker (default 2; the paper
-    /// uses 3 × CPU cores on its testbed).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
 
     /// Network bounds used by the admission test (default
     /// [`NetworkParams::paper_example`]).
@@ -288,8 +277,8 @@ impl RtSystemBuilder {
     }
 
     /// Install a scripted fault hook (the `frame-chaos` injector) on the
-    /// publisher→Primary, Primary→Backup and broker→subscriber hops, the
-    /// worker loop, and the failure detector.
+    /// publisher→Primary, Primary→Backup and broker→subscriber hops, before
+    /// each job, and on the failure detector.
     pub fn chaos(mut self, hook: Arc<dyn FaultHook>) -> Self {
         self.hook = Some(hook);
         self
@@ -337,7 +326,6 @@ impl RtSystemBuilder {
     pub fn start(self) -> Result<RtSystem, FrameError> {
         let RtSystemBuilder {
             config,
-            workers,
             net,
             telemetry,
             flight_dump,
@@ -349,20 +337,18 @@ impl RtSystemBuilder {
             hook,
         } = self;
         let clock: Arc<dyn Clock> = clock.unwrap_or_else(|| Arc::new(MonotonicClock::new()));
-        let (primary, pt) = RtBroker::spawn(
+        let primary = RtBroker::spawn(
             BrokerId(0),
             BrokerRole::Primary,
             config,
-            workers,
             clock.clone(),
             telemetry.clone(),
             hook.clone(),
         );
-        let (backup, bt) = RtBroker::spawn(
+        let backup = RtBroker::spawn(
             BrokerId(1),
             BrokerRole::Backup,
             config,
-            workers,
             clock.clone(),
             telemetry.clone(),
             hook.clone(),
@@ -402,9 +388,7 @@ impl RtSystemBuilder {
             backup,
             clock,
             net,
-            workers,
             publishers: Vec::new(),
-            threads: vec![pt, bt],
             detector: None,
             telemetry,
             flight_sink,
@@ -423,7 +407,6 @@ impl RtSystem {
     pub fn builder(config: BrokerConfig) -> RtSystemBuilder {
         RtSystemBuilder {
             config,
-            workers: 2,
             net: NetworkParams::paper_example(),
             telemetry: Telemetry::new(),
             flight_dump: None,
@@ -439,11 +422,6 @@ impl RtSystem {
     /// The network bounds the system admits topics against.
     pub fn net(&self) -> NetworkParams {
         self.net
-    }
-
-    /// Delivery worker threads per broker.
-    pub fn worker_count(&self) -> usize {
-        self.workers
     }
 
     /// Whether a scripted fault hook is installed.
@@ -660,9 +638,6 @@ impl RtSystem {
             sink.stop.store(true, Ordering::Release);
             let _ = sink.thread.join();
         }
-        for t in self.threads.drain(..) {
-            t.join();
-        }
     }
 }
 
@@ -676,12 +651,8 @@ mod tests {
     fn builder_defaults_and_knobs_are_observable() {
         // Every construction path goes through the builder; prove the
         // defaults and each knob land in the running system.
-        let built = RtSystem::builder(BrokerConfig::frame())
-            .workers(3)
-            .start()
-            .unwrap();
+        let built = RtSystem::builder(BrokerConfig::frame()).start().unwrap();
         assert_eq!(built.net(), NetworkParams::paper_example());
-        assert_eq!(built.worker_count(), 3);
         assert!(!built.has_chaos_hook());
         assert!(built.telemetry().is_enabled());
         assert_eq!(built.flight_dump_path(), None);
@@ -694,15 +665,12 @@ mod tests {
             ..NetworkParams::paper_example()
         };
         let built2 = RtSystem::builder(BrokerConfig::fcfs())
-            .workers(1)
             .net(custom_net)
             .start()
             .unwrap();
         assert_eq!(built2.net(), custom_net);
-        assert_eq!(built2.worker_count(), 1);
 
         let built3 = RtSystem::builder(BrokerConfig::frame())
-            .workers(2)
             .net(custom_net)
             .telemetry(Telemetry::disabled())
             .start()
@@ -719,7 +687,6 @@ mod tests {
         use std::io::{Read as _, Write as _};
 
         let sys = RtSystem::builder(BrokerConfig::frame())
-            .workers(1)
             .obs("127.0.0.1:0")
             .start()
             .unwrap();
@@ -824,10 +791,7 @@ mod tests {
 
     #[test]
     fn admission_rejects_bad_specs_at_add_topic() {
-        let sys = RtSystem::builder(BrokerConfig::frame())
-            .workers(1)
-            .start()
-            .unwrap();
+        let sys = RtSystem::builder(BrokerConfig::frame()).start().unwrap();
         let mut spec = TopicSpec::category(0, TopicId(1));
         spec.retention = 0; // L=0 with no retention is inadmissible
         assert!(sys.add_topic(spec, vec![SubscriberId(1)]).is_err());

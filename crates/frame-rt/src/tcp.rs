@@ -147,13 +147,12 @@ mod tests {
     use std::net::TcpListener;
     use std::sync::Arc;
 
-    fn spawn_broker() -> (RtBroker, crate::broker_rt::RtBrokerThreads) {
+    fn spawn_broker() -> RtBroker {
         let clock: Arc<dyn frame_clock::Clock> = Arc::new(MonotonicClock::new());
         RtBroker::spawn(
             BrokerId(0),
             BrokerRole::Primary,
             BrokerConfig::frame(),
-            2,
             clock,
             Telemetry::new(),
             None,
@@ -162,7 +161,7 @@ mod tests {
 
     #[test]
     fn tcp_publish_subscribe_roundtrip() {
-        let (broker, threads) = spawn_broker();
+        let broker = spawn_broker();
         let spec = TopicSpec::category(0, TopicId(1));
         broker
             .register_topic(
@@ -199,7 +198,6 @@ mod tests {
         }
         broker.shutdown();
         server.shutdown();
-        threads.join();
     }
 
     #[test]
@@ -208,20 +206,18 @@ mod tests {
         // servers over loopback TCP), category-2 topic (replication
         // required).
         let clock: Arc<dyn frame_clock::Clock> = Arc::new(MonotonicClock::new());
-        let (primary, pt) = RtBroker::spawn(
+        let primary = RtBroker::spawn(
             BrokerId(0),
             BrokerRole::Primary,
             BrokerConfig::frame(),
-            2,
             clock.clone(),
             Telemetry::new(),
             None,
         );
-        let (backup, bt) = RtBroker::spawn(
+        let backup = RtBroker::spawn(
             BrokerId(1),
             BrokerRole::Backup,
             BrokerConfig::frame(),
-            2,
             clock.clone(),
             Telemetry::new(),
             None,
@@ -284,13 +280,11 @@ mod tests {
         backup.shutdown();
         primary_server.shutdown();
         backup_server.shutdown();
-        pt.join();
-        bt.join();
     }
 
     #[test]
     fn tcp_stats_returns_parseable_snapshot() {
-        let (broker, threads) = spawn_broker();
+        let broker = spawn_broker();
         let spec = TopicSpec::category(0, TopicId(1));
         broker
             .register_topic(
@@ -335,12 +329,11 @@ mod tests {
 
         broker.shutdown();
         server.shutdown();
-        threads.join();
     }
 
     #[test]
     fn malformed_frame_is_dropped_and_connection_survives() {
-        let (broker, threads) = spawn_broker();
+        let broker = spawn_broker();
         let server = ReactorServer::bind("127.0.0.1:0", broker.clone()).unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream
@@ -362,7 +355,6 @@ mod tests {
         }
         broker.shutdown();
         server.shutdown();
-        threads.join();
     }
 
     #[test]

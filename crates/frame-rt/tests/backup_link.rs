@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use frame_clock::{Clock, MonotonicClock};
 use frame_core::{admit, BrokerConfig, BrokerRole, BrokerStats};
-use frame_rt::{ReactorServer, RtBroker, RtBrokerThreads, TcpPublisher, TcpSubscriber};
+use frame_rt::{ReactorServer, RtBroker, TcpPublisher, TcpSubscriber};
 use frame_telemetry::Telemetry;
 use frame_types::{
     BrokerId, Message, NetworkParams, PublisherId, SeqNo, SubscriberId, TopicId, TopicSpec,
@@ -27,7 +27,6 @@ struct Pair {
     backup: RtBroker,
     primary_server: ReactorServer,
     backup_server: Option<ReactorServer>,
-    threads: Vec<RtBrokerThreads>,
 }
 
 impl Pair {
@@ -42,14 +41,13 @@ impl Pair {
                 BrokerId(id),
                 role,
                 config,
-                2,
                 clock.clone(),
                 Telemetry::new(),
                 None,
             )
         };
-        let (primary, pt) = spawn(0, BrokerRole::Primary);
-        let (backup, bt) = spawn(1, BrokerRole::Backup);
+        let primary = spawn(0, BrokerRole::Primary);
+        let backup = spawn(1, BrokerRole::Backup);
         let net = NetworkParams::paper_example();
         for topic in 0..topics {
             // Category 2: zero loss tolerance, replication required.
@@ -70,7 +68,6 @@ impl Pair {
             backup,
             primary_server,
             backup_server: Some(backup_server),
-            threads: vec![pt, bt],
         }
     }
 
@@ -130,9 +127,6 @@ impl Pair {
         self.primary_server.shutdown();
         if let Some(server) = self.backup_server.take() {
             server.shutdown();
-        }
-        for t in self.threads {
-            t.join();
         }
     }
 }

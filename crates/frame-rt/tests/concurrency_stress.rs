@@ -1,16 +1,16 @@
 //! Contention stress for the threaded broker.
 //!
 //! The threaded broker holds one `frame_core::Broker` behind one lock;
-//! workers send a job's effects after dropping that lock, while they still
-//! hold the topic's claim. That is only correct if, under real thread
-//! interleavings:
+//! each admitting thread runs the jobs it can claim and sends a job's
+//! effects after dropping that lock, while it still holds the topic's
+//! claim. That is only correct if, under real thread interleavings:
 //!
 //! 1. no message is ever dispatched twice to the same subscriber (the
-//!    claim hands each job to exactly one worker, and Table-3 stale
+//!    claim hands each job to exactly one thread, and Table-3 stale
 //!    checks drop overwritten slots rather than re-delivering);
 //! 2. for every topic, the Backup-bound wire order respects Table 3 — a
 //!    prune may never overtake the replica it discards, even with many
-//!    workers sending effects concurrently outside the lock;
+//!    threads sending effects concurrently outside the lock;
 //! 3. the paper's per-topic consecutive-loss bound `L_i` survives a
 //!    mid-stream Primary crash.
 
@@ -30,24 +30,25 @@ use frame_types::{
 
 const TOPICS: u32 = 1024;
 const MSGS_PER_TOPIC: u64 = 3;
-const WORKERS: usize = 8;
+const ADMITTERS: u32 = 8;
 const SUBSCRIBER_CHANNELS: u32 = 4;
 
 fn payload() -> &'static [u8] {
     b"0123456789abcdef"
 }
 
-/// Floods a Primary with eight workers and ~1k category-2 topics, then
-/// checks exactly-once dispatch and the per-topic replica-before-prune
-/// wire order at a monitor standing in for the Backup.
+/// Floods a Primary from eight admitting threads across ~1k category-2
+/// topics (each topic published by one thread, in seq order, while every
+/// thread runs whichever jobs it claims), then checks exactly-once
+/// dispatch and the per-topic replica-before-prune wire order at a
+/// monitor standing in for the Backup.
 #[test]
 fn sharded_broker_exactly_once_and_table3_order_under_contention() {
     let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
-    let (primary, threads) = RtBroker::spawn(
+    let primary = RtBroker::spawn(
         BrokerId(0),
         BrokerRole::Primary,
         BrokerConfig::frame(),
-        WORKERS,
         clock.clone(),
         Telemetry::new(),
         None,
@@ -64,9 +65,9 @@ fn sharded_broker_exactly_once_and_table3_order_under_contention() {
             )
             .unwrap();
     }
-    // The monitor plays the Backup: the sink runs while the emitting worker
+    // The monitor plays the Backup: the sink runs while the emitting thread
     // holds the topic's claim, so the channel holds the exact order the
-    // workers emitted.
+    // threads emitted.
     let (backup_tx, backup_rx) = unbounded::<Vec<BackupEffect>>();
     primary.connect_backup(Arc::new(move |effects| {
         let _ = backup_tx.send(effects);
@@ -79,16 +80,26 @@ fn sharded_broker_exactly_once_and_table3_order_under_contention() {
     }
 
     let total = u64::from(TOPICS) * MSGS_PER_TOPIC;
-    for seq in 0..MSGS_PER_TOPIC {
-        for t in 1..=TOPICS {
-            primary.publish(Message::new(
-                TopicId(t),
-                PublisherId(0),
-                SeqNo(seq),
-                clock.now(),
-                payload(),
-            ));
-        }
+    let admitters: Vec<_> = (0..ADMITTERS)
+        .map(|a| {
+            let (primary, clock) = (primary.clone(), clock.clone());
+            std::thread::spawn(move || {
+                for seq in 0..MSGS_PER_TOPIC {
+                    for t in (1..=TOPICS).filter(|t| t % ADMITTERS == a) {
+                        primary.publish(Message::new(
+                            TopicId(t),
+                            PublisherId(a),
+                            SeqNo(seq),
+                            clock.now(),
+                            payload(),
+                        ));
+                    }
+                }
+            })
+        })
+        .collect();
+    for a in admitters {
+        a.join().expect("admitting thread");
     }
 
     // 1. Exactly-once dispatch: every (topic, seq) delivered once, on the
@@ -160,7 +171,6 @@ fn sharded_broker_exactly_once_and_table3_order_under_contention() {
     let stats = primary.stats();
     assert_eq!(stats.dispatches, total, "every admitted message dispatched");
     primary.shutdown();
-    threads.join();
 }
 
 /// Crashes the Primary mid-stream on a zero-loss replicated topic
@@ -171,7 +181,6 @@ fn sharded_broker_exactly_once_and_table3_order_under_contention() {
 fn consecutive_loss_bound_survives_midstream_crash() {
     let spec = TopicSpec::category(2, TopicId(1));
     let mut sys = RtSystem::builder(BrokerConfig::frame())
-        .workers(4)
         .start()
         .expect("builder start");
     sys.add_topic(spec, vec![SubscriberId(1)]).unwrap();

@@ -188,19 +188,13 @@ fn decoder_reports_truncation_and_rejects_oversized_prefixes() {
 
 /// Boots a broker pair of (reactor server, helper handles) for the wire
 /// tests below.
-fn reactor_broker() -> (
-    ReactorServer,
-    RtBroker,
-    frame_rt::RtBrokerThreads,
-    Telemetry,
-) {
+fn reactor_broker() -> (ReactorServer, RtBroker, Telemetry) {
     let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
     let telemetry = Telemetry::new();
-    let (broker, threads) = RtBroker::spawn(
+    let broker = RtBroker::spawn(
         BrokerId(0),
         BrokerRole::Primary,
         BrokerConfig::frame(),
-        2,
         clock,
         telemetry.clone(),
         None,
@@ -213,12 +207,12 @@ fn reactor_broker() -> (
             .unwrap();
     }
     let server = ReactorServer::bind("127.0.0.1:0", broker.clone()).expect("bind reactor");
-    (server, broker, threads, telemetry)
+    (server, broker, telemetry)
 }
 
 #[test]
 fn reactor_serves_pubsub_and_control_plane() {
-    let (server, broker, threads, telemetry) = reactor_broker();
+    let (server, broker, telemetry) = reactor_broker();
     let addr = server.local_addr();
 
     let subscriber = TcpSubscriber::connect(addr, SubscriberId(1)).expect("subscribe");
@@ -279,12 +273,11 @@ fn reactor_serves_pubsub_and_control_plane() {
 
     server.shutdown();
     broker.shutdown();
-    threads.join();
 }
 
 #[test]
 fn reactor_polls_ack_then_go_silent_after_kill() {
-    let (server, broker, threads, _telemetry) = reactor_broker();
+    let (server, broker, _telemetry) = reactor_broker();
     let mut conn = TcpStream::connect(server.local_addr()).unwrap();
     conn.set_read_timeout(Some(StdDuration::from_secs(2)))
         .unwrap();
@@ -308,12 +301,11 @@ fn reactor_polls_ack_then_go_silent_after_kill() {
 
     server.shutdown();
     broker.shutdown();
-    threads.join();
 }
 
 #[test]
 fn served_broker_beats_the_proxy_heartbeat_until_killed() {
-    let (server, broker, threads, telemetry) = reactor_broker();
+    let (server, broker, telemetry) = reactor_broker();
     let beats = || {
         telemetry
             .snapshot()
@@ -341,12 +333,11 @@ fn served_broker_beats_the_proxy_heartbeat_until_killed() {
     assert_eq!(beats(), after_kill, "a dead broker's loops stop beating");
 
     server.shutdown();
-    threads.join();
 }
 
 #[test]
 fn reactor_survives_malformed_frames_and_closes_on_protocol_violation() {
-    let (server, broker, threads, _telemetry) = reactor_broker();
+    let (server, broker, _telemetry) = reactor_broker();
     let addr = server.local_addr();
 
     let subscriber = TcpSubscriber::connect(addr, SubscriberId(1)).expect("subscribe");
@@ -376,18 +367,16 @@ fn reactor_survives_malformed_frames_and_closes_on_protocol_violation() {
 
     server.shutdown();
     broker.shutdown();
-    threads.join();
 }
 
 #[test]
 fn reactor_fans_in_hundreds_of_publisher_connections() {
     let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
     let telemetry = Telemetry::new();
-    let (broker, threads) = RtBroker::spawn(
+    let broker = RtBroker::spawn(
         BrokerId(0),
         BrokerRole::Primary,
         BrokerConfig::frame(),
-        2,
         clock,
         telemetry.clone(),
         None,
@@ -451,13 +440,11 @@ fn reactor_fans_in_hundreds_of_publisher_connections() {
 
     server.shutdown();
     broker.shutdown();
-    threads.join();
 }
 
 #[test]
 fn builder_listen_serves_the_primary() {
     let sys = RtSystem::builder(BrokerConfig::frame())
-        .workers(1)
         .listen("127.0.0.1:0")
         .start()
         .expect("system with ingress starts");
@@ -483,11 +470,10 @@ fn stats_reply_fits_one_frame_at_a_thousand_topics() {
     // the snapshot; the reply must still fit one frame and parse.
     const TOPICS: u32 = 1000;
     let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
-    let (broker, threads) = RtBroker::spawn(
+    let broker = RtBroker::spawn(
         BrokerId(0),
         BrokerRole::Primary,
         BrokerConfig::frame(),
-        2,
         clock,
         Telemetry::new(),
         None,
@@ -531,5 +517,4 @@ fn stats_reply_fits_one_frame_at_a_thousand_topics() {
 
     server.shutdown();
     broker.shutdown();
-    threads.join();
 }

@@ -13,7 +13,6 @@ use frame_types::{Duration, PublisherId, SubscriberId, TopicId, TopicSpec};
 #[test]
 fn snapshot_reflects_live_traffic() {
     let mut sys = RtSystem::builder(BrokerConfig::frame())
-        .workers(2)
         .start()
         .expect("builder start");
     let spec = TopicSpec::category(0, TopicId(1));
@@ -73,7 +72,6 @@ fn snapshot_reflects_live_traffic() {
 #[test]
 fn failover_traces_promote_then_recovery_dispatches() {
     let mut sys = RtSystem::builder(BrokerConfig::frame())
-        .workers(2)
         .start()
         .expect("builder start");
     // Category 2 replicates under Proposition 1, so copies sit in the

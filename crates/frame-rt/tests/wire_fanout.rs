@@ -33,11 +33,10 @@ fn read_raw_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
 #[test]
 fn fanout_of_64_shares_one_encode_and_delivers_identical_bytes() {
     let clock: Arc<dyn frame_clock::Clock> = Arc::new(MonotonicClock::new());
-    let (broker, threads) = RtBroker::spawn(
+    let broker = RtBroker::spawn(
         BrokerId(0),
         BrokerRole::Primary,
         BrokerConfig::frame(),
-        2,
         clock,
         Telemetry::new(),
         None,
@@ -156,5 +155,4 @@ fn fanout_of_64_shares_one_encode_and_delivers_identical_bytes() {
 
     broker.shutdown();
     server.shutdown();
-    threads.join();
 }

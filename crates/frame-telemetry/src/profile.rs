@@ -1,8 +1,8 @@
 //! Process-wide resource accounting attributed to thread roles.
 //!
 //! Every long-lived FRAME thread registers itself under a [`RoleKind`]
-//! (reactor loop N, delivery worker N, detector, observability, sampler,
-//! …) with [`register_thread_role`]. From then on three cost streams are
+//! (reactor loop N, detector, observability, sampler, …) with
+//! [`register_thread_role`]. From then on three cost streams are
 //! attributed to that role:
 //!
 //! - **Allocations** — the feature-gated [`CountingAlloc`]
@@ -38,8 +38,6 @@ pub enum RoleKind {
     /// A readiness-reactor event loop (`frame-reactor-{index}`); it also
     /// admits what it decodes, so it carries the Message Proxy's cost.
     Reactor,
-    /// A delivery worker (`frame-delivery-{index}`).
-    Worker,
     /// The failure-detector thread.
     Detector,
     /// Observability surface (HTTP accept loop + scrape connections).
@@ -57,7 +55,6 @@ impl RoleKind {
     pub fn name(self) -> &'static str {
         match self {
             RoleKind::Reactor => "reactor",
-            RoleKind::Worker => "worker",
             RoleKind::Detector => "detector",
             RoleKind::Obs => "obs",
             RoleKind::Sampler => "sampler",
@@ -69,42 +66,40 @@ impl RoleKind {
     /// Whether multiple instances of this role exist (so its display name
     /// carries the index).
     fn indexed(self) -> bool {
-        matches!(self, RoleKind::Reactor | RoleKind::Worker)
+        self == RoleKind::Reactor
     }
 
     /// Roles on the message hot path, counted into allocations-per-message.
     pub fn hot_path(self) -> bool {
-        matches!(self, RoleKind::Reactor | RoleKind::Worker)
+        self == RoleKind::Reactor
     }
 
     fn code(self) -> u64 {
         match self {
             RoleKind::Reactor => 1,
-            RoleKind::Worker => 2,
-            RoleKind::Detector => 3,
-            RoleKind::Obs => 4,
-            RoleKind::Sampler => 5,
-            RoleKind::FlightSink => 6,
-            RoleKind::Other => 7,
+            RoleKind::Detector => 2,
+            RoleKind::Obs => 3,
+            RoleKind::Sampler => 4,
+            RoleKind::FlightSink => 5,
+            RoleKind::Other => 6,
         }
     }
 
     fn from_code(code: u64) -> Option<RoleKind> {
         Some(match code {
             1 => RoleKind::Reactor,
-            2 => RoleKind::Worker,
-            3 => RoleKind::Detector,
-            4 => RoleKind::Obs,
-            5 => RoleKind::Sampler,
-            6 => RoleKind::FlightSink,
-            7 => RoleKind::Other,
+            2 => RoleKind::Detector,
+            3 => RoleKind::Obs,
+            4 => RoleKind::Sampler,
+            5 => RoleKind::FlightSink,
+            6 => RoleKind::Other,
             _ => return None,
         })
     }
 }
 
-/// Capacity of the role table. Roles are coarse (loops and workers cap in
-/// the low tens), so this is generous; registration past it falls back to
+/// Capacity of the role table. Roles are coarse (loops cap in the low
+/// tens), so this is generous; registration past it falls back to
 /// the unattributed slot rather than failing.
 const MAX_SLOTS: usize = 64;
 
@@ -296,7 +291,7 @@ pub fn record_write_syscalls(n: u64) {
 /// start; diff two snapshots to scope a measurement.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct RoleProfileSnapshot {
-    /// Display name: `reactor-0`, `worker-3`, `detector`, … or
+    /// Display name: `reactor-0`, `reactor-1`, `detector`, … or
     /// `unattributed` for slot 0.
     pub role: String,
     /// Heap allocations charged to this role.
@@ -458,7 +453,7 @@ mod tests {
         let roles = snapshot_roles();
         assert!(roles.iter().any(|r| r.role == "other-40"));
         // Indexed kinds carry their index; singletons at index 0 don't.
-        assert_eq!(RoleKind::Worker.name(), "worker");
+        assert_eq!(RoleKind::Reactor.name(), "reactor");
         assert_eq!(RoleKind::Detector.name(), "detector");
         // Reset this test thread to unattributed for other tests in the
         // same harness thread pool.

@@ -30,9 +30,10 @@ pub enum BudgetStage {
     PublisherWire,
     /// Proxy ingress → admission complete (buffering + job creation).
     ProxyAdmit,
-    /// Admission → a worker popped the dispatch job (EDF queue wait).
+    /// Admission → a thread claimed the dispatch job (EDF queue wait).
     QueueWait,
-    /// Job popped → broker lock acquired (the worker's lock wait).
+    /// Job popped → broker lock acquired (zero where a job is claimed and
+    /// run in one critical section, as in the threaded runtime).
     ShardLock,
     /// Broker locked → delivery handed to the wire (Table-3 dispatch
     /// execution).

@@ -15,7 +15,7 @@ pub enum Stage {
     /// Generator").
     ProxyIngress,
     /// Time a job spent waiting in the EDF (or FCFS) Job Queue between its
-    /// release and the moment a delivery worker took it.
+    /// release and the moment a thread claimed it.
     QueueWait,
     /// Executing a dispatch job: resolving the message and pushing it to
     /// every subscriber channel.

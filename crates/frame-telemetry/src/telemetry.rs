@@ -37,7 +37,7 @@ pub enum HeartbeatKind {
     /// admit every socket message, so this is the ingress (Message Proxy)
     /// heartbeat.
     Proxy,
-    /// A delivery worker iterated (popped a job or woke from its wait).
+    /// A job finished, on whichever thread ran it.
     Worker,
     /// The failure-detector loop completed a poll round.
     Detector,
@@ -233,7 +233,7 @@ struct Inner {
     /// the write lock (cold: once per topic); the per-delivery path
     /// binary-searches under the read lock.
     topics: Registry<TopicId, TopicEntry>,
-    /// Times the message path (admission or a worker) found the broker
+    /// Times the message path (admission or running a job) found the broker
     /// lock already held and had to block for it (threaded runtime only).
     /// High values relative to dispatch counts mean the one lock over
     /// broker state is serializing threads.

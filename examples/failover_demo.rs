@@ -15,7 +15,6 @@ use frame::types::{Duration, PublisherId, SubscriberId, TopicId, TopicSpec};
 
 fn main() {
     let mut sys = RtSystem::builder(BrokerConfig::frame())
-        .workers(2)
         .start()
         .expect("builder start");
 

@@ -60,7 +60,6 @@ fn main() {
     let net = NetworkParams::paper_example();
 
     let mut sys = RtSystem::builder(BrokerConfig::frame())
-        .workers(3)
         .start()
         .expect("builder start");
 

@@ -30,10 +30,10 @@ fn main() {
         replication_needed(&spec, &net).unwrap()
     );
 
-    // Start the threaded runtime: Primary + Backup, 2 delivery workers
-    // each, EDF + selective replication + coordination (the FRAME config).
+    // Start the threaded runtime: Primary + Backup running EDF + selective
+    // replication + coordination (the FRAME config); each publish runs its
+    // jobs on the publishing thread.
     let mut sys = RtSystem::builder(BrokerConfig::frame())
-        .workers(2)
         .start()
         .expect("builder start");
     sys.add_topic(spec, vec![SubscriberId(1)])

@@ -53,7 +53,6 @@ fn publisher_restart_recovers_retention_and_resends() {
     );
 
     let sys = RtSystem::builder(BrokerConfig::frame())
-        .workers(2)
         .start()
         .expect("builder start");
     let spec = TopicSpec::category(0, topic);

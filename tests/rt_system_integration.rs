@@ -11,7 +11,6 @@ use frame::types::{Duration, PublisherId, SubscriberId, TopicId, TopicSpec};
 #[test]
 fn multi_topic_multi_subscriber_delivery() {
     let mut sys = RtSystem::builder(BrokerConfig::frame())
-        .workers(3)
         .start()
         .expect("builder start");
     let a = TopicSpec::category(0, TopicId(1));
@@ -55,7 +54,6 @@ fn crash_failover_preserves_zero_loss_topics() {
     // (N+L)·T >= ΔPB + ΔBB + x, and Proposition 1 suppresses replication
     // only when (N+L)·T − D >= x + ΔBB − ΔBS (≈ 49 ms here).
     let mut sys = RtSystem::builder(BrokerConfig::frame())
-        .workers(2)
         .start()
         .expect("builder start");
     use frame::types::LossTolerance;
@@ -121,7 +119,6 @@ fn crash_failover_preserves_zero_loss_topics() {
 #[test]
 fn latency_stays_small_under_light_load() {
     let mut sys = RtSystem::builder(BrokerConfig::frame())
-        .workers(2)
         .start()
         .expect("builder start");
     let spec = TopicSpec::category(0, TopicId(1));
@@ -153,7 +150,6 @@ fn aperiodic_emergency_topic_survives_failover() {
     // emergency notification through a crash.
     use frame::types::LossTolerance;
     let mut sys = RtSystem::builder(BrokerConfig::frame())
-        .workers(2)
         .start()
         .expect("builder start");
     // Period stays at the builder's aperiodic default (T = ∞).
@@ -184,7 +180,6 @@ fn duplicate_suppression_across_failover() {
     // retention re-send): the subscriber-side tracker must end with exactly
     // one accepted copy per sequence.
     let mut sys = RtSystem::builder(BrokerConfig::fcfs_minus())
-        .workers(2)
         .start()
         .expect("builder start");
     let spec = TopicSpec::category(2, TopicId(7));

@@ -27,6 +27,9 @@
 //!   workload-independent, so this check runs even across a quick/full
 //!   mismatch, but only when both reports say `alloc_profiling: true`.
 //!
+//! Reports recorded on hosts with different core counts (`host.cores`)
+//! are not compared at all: the pair fails with a note, since every
+//! threaded row's rate depends on how many cores its threads overlap on.
 //! A baseline row missing from the candidate fails the gate (rows must
 //! not silently disappear); a metric missing from the *baseline* is
 //! skipped with a note, so the gate tolerates baselines that predate a
@@ -165,6 +168,27 @@ fn compare_reports(
             status: "fail",
         });
         return;
+    }
+
+    let cores = |r: &Value| r.get("host").and_then(|h| h.get("cores")).and_then(as_f64);
+    if let (Some(base), Some(cand)) = (cores(baseline), cores(candidate)) {
+        if base != cand {
+            notes.push(format!(
+                "{bench}: baseline recorded on {base} cores, candidate on {cand} — \
+                 not comparable; re-record the baseline on the gating host"
+            ));
+            comparisons.push(Comparison {
+                bench,
+                row: String::new(),
+                metric: "host.cores",
+                baseline: base,
+                candidate: cand,
+                change_pct: 0.0,
+                limit_pct: 0.0,
+                status: "fail",
+            });
+            return;
+        }
     }
 
     let quick = |r: &Value| r.get("quick").and_then(as_bool);
@@ -440,6 +464,30 @@ mod tests {
             &mut notes,
         );
         (comparisons, notes)
+    }
+
+    #[test]
+    fn reports_from_different_core_counts_are_refused() {
+        let on = |cores: u64| -> Value {
+            serde_json::from_str(&format!(
+                r#"{{
+                    "bench": "broker_throughput", "quick": true,
+                    "alloc_profiling": true, "host": {{"cores": {cores}}},
+                    "results": [
+                        {{"policy": "edf", "publishers": 4,
+                          "msgs_per_sec": 10000.0, "allocs_per_msg": 0.2}}
+                    ]
+                }}"#
+            ))
+            .expect("test report parses")
+        };
+        let (cmp, notes) = run(&on(1), &on(2));
+        assert_eq!(cmp.len(), 1, "no row is compared");
+        assert_eq!((cmp[0].metric, cmp[0].status), ("host.cores", "fail"));
+        assert!(notes.iter().any(|n| n.contains("not comparable")));
+        // Same core count: the rows are compared as usual.
+        let (cmp, _) = run(&on(2), &on(2));
+        assert!(cmp.iter().all(|c| c.status == "pass") && cmp.len() == 2);
     }
 
     #[test]
